@@ -11,6 +11,8 @@ The package splits along the pipeline:
 - :mod:`maskdet.weights_io` / :mod:`maskdet.images` /
   :mod:`maskdet.annotations` — external formats
 - :mod:`maskdet.cli` — the ``maskdet`` command
+- :mod:`maskdet.oracles` — scalar-loop reference implementations that
+  ``maskdet selftest`` and the test suite check the package against
 """
 
 from .anchors import (AnchorSet, MatchResult, decode, encode,

@@ -43,6 +43,16 @@ def _parse_strides(text: str) -> tuple[int, ...]:
                                          f"integers, got {text!r}")
 
 
+def _parse_unit_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="maskdet",
                                      description="Face-mask detector toolkit")
@@ -54,15 +64,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a .ppm file or a directory of .ppm files")
     p.add_argument("--out", required=True, help="output detections JSON")
     p.add_argument("--size", type=int, default=640, help="network input size")
-    p.add_argument("--tc", type=float, default=0.5, help="confidence threshold")
-    p.add_argument("--nms", type=float, default=0.4, help="NMS IoU threshold")
-    p.add_argument("--orcc", type=float, default=0.5,
-                   help="cross-class removal IoU threshold")
+    p.add_argument("--tc", type=_parse_unit_float, default=0.5,
+                   help="confidence threshold in [0, 1]")
+    p.add_argument("--nms", type=_parse_unit_float, default=0.4,
+                   help="NMS IoU threshold in [0, 1]")
+    p.add_argument("--orcc", type=_parse_unit_float, default=0.5,
+                   help="cross-class removal IoU threshold in [0, 1]")
 
     p = sub.add_parser("eval", help="precision/recall of detections vs ground truth")
     p.add_argument("--pred", required=True, help="detections JSON")
     p.add_argument("--gt", required=True, help="ground-truth annotations JSON")
-    p.add_argument("--iou", type=float, default=0.5, help="matching IoU threshold")
+    p.add_argument("--iou", type=_parse_unit_float, default=0.5,
+                   help="matching IoU threshold in [0, 1]")
 
     p = sub.add_parser("anchors", help="print anchor count and layout")
     p.add_argument("--size", type=int, required=True, help="input size in pixels")

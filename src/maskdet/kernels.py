@@ -232,13 +232,16 @@ def concat_channels(inputs) -> Tensor:
 
 
 def linear(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map of a length-k vector through a (k, m) matrix plus length-m bias."""
+    """Affine map ``x @ weights + bias`` of a length-k vector or (m, k) rows.
+
+    ``weights`` is a (k, j) matrix and ``bias`` a length-j vector.
+    """
     x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError(f"linear expects a 1-D input, got shape {x.shape}")
-    if weights.ndim != 2 or weights.shape[0] != x.shape[0]:
+    if x.ndim not in (1, 2):
+        raise ValueError(f"linear expects a 1-D or 2-D input, got shape {x.shape}")
+    if weights.ndim != 2 or weights.shape[0] != x.shape[-1]:
         raise ValueError(f"linear weight shape {weights.shape} incompatible "
-                         f"with input length {x.shape[0]}")
+                         f"with input length {x.shape[-1]}")
     if bias.shape != (weights.shape[1],):
         raise ValueError(f"linear bias shape {bias.shape} incompatible with "
                          f"output length {weights.shape[1]}")

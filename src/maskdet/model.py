@@ -152,8 +152,9 @@ class Predictions:
 def build_model(config: ModelConfig, weights: dict[str, np.ndarray]) -> Model:
     """Validate a weight store against the manifest and wrap it as a Model.
 
-    Fails at construction (missing tensor or wrong shape) rather than
-    deferring shape errors to forward time.  Extra tensors are ignored.
+    Fails at construction (missing tensor, wrong shape or a NaN/inf value)
+    rather than deferring the fault to forward time.  Extra tensors are
+    ignored.
     """
     if tuple(config.strides) != (8, 16, 32):
         raise ValueError(f"the reference backbone taps strides (8, 16, 32); "
@@ -166,6 +167,8 @@ def build_model(config: ModelConfig, weights: dict[str, np.ndarray]) -> Model:
         if found != shape:
             raise ValueError(f"weight tensor '{name}' has shape {found}, "
                              f"expected {shape}")
+        if not np.isfinite(weights[name]).all():
+            raise ValueError(f"weight tensor '{name}' has non-finite values")
     return Model(config, dict(weights))
 
 
@@ -216,14 +219,13 @@ def channel_attention(feature: Tensor, fc1_w, fc1_b, fc2_w, fc2_b) -> Tensor:
     gate = sigmoid(MLP(global_avg) + MLP(global_max)) with MLP(v) =
     fc2(relu(fc1(v))); the gate lies strictly in (0, 1).
     """
-    n = feature.shape[0]
-    gates = np.empty((n, feature.shape[1]), dtype=np.float32)
-    for b in range(n):
-        avg = global_pool(feature[b:b + 1], "avg")[0, :, 0, 0]
-        mx = global_pool(feature[b:b + 1], "max")[0, :, 0, 0]
-        def mlp(v):
-            return linear(activate(linear(v, fc1_w, fc1_b), "relu"), fc2_w, fc2_b)
-        gates[b] = sigmoid(mlp(avg).astype(np.float64) + mlp(mx).astype(np.float64))
+    n, c = feature.shape[:2]
+    # avg rows then max rows, so one pass through the shared MLP serves both
+    pooled = np.concatenate([global_pool(feature, "avg"),
+                             global_pool(feature, "max")]).reshape(2 * n, c)
+    hidden = activate(linear(pooled, fc1_w, fc1_b), "relu")
+    logits = linear(hidden, fc2_w, fc2_b).astype(np.float64)
+    gates = sigmoid(logits[:n] + logits[n:])
     return (feature * gates[:, :, None, None]).astype(np.float32)
 
 

@@ -1,5 +1,6 @@
-"""Independent reference implementations the tests check the package against.
+"""Independent reference implementations the package is checked against.
 
+``maskdet selftest`` and the test suite both import them from here.
 Everything here is written the dumbest way that can be right: scalar loops,
 literal sort-and-scan, fixed-point iteration.  None of it shares code with
 the package's vectorized paths.
@@ -146,7 +147,3 @@ def match_reference(anchor_corners, gt_boxes, gt_labels, pos_thresh):
     pos = assigned >= 0
     labels[pos] = np.asarray(gt_labels)[assigned[pos]]
     return labels, assigned
-
-
-def central_difference(f, x, h=1e-4):
-    return (f(x + h) - f(x - h)) / (2.0 * h)

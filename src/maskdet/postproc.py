@@ -46,13 +46,14 @@ def score_predictions(pred: Predictions, anchors: AnchorSet,
 
     Returns {FACE: (boxes, scores), MASK: (boxes, scores)} with one
     candidate per anchor row, boxes decoded (and clipped when ``image_size``
-    is given).
+    is given).  Both classes share one boxes array; callers must not write
+    into it.
     """
     if pred.count != len(anchors):
         raise ValueError(f"{pred.count} prediction rows vs {len(anchors)} anchors")
     probs = softmax_rows(pred.cls)
     boxes = decode(pred.loc, anchors.anchors, image_size=image_size)
-    return {FACE: (boxes, probs[:, FACE]), MASK: (boxes.copy(), probs[:, MASK])}
+    return {FACE: (boxes, probs[:, FACE]), MASK: (boxes, probs[:, MASK])}
 
 
 def filter_confidence(boxes: np.ndarray, scores: np.ndarray,

@@ -3,7 +3,9 @@
 Each suite checks a slice of the pipeline against an independent reference
 written as plainly as possible (scalar loops, literal fixed-point
 iteration), so a broken build fails loudly in the field without needing
-the development test suite installed.
+the development test suite installed.  The references live in
+:mod:`maskdet.oracles`; they and the random case generators below are
+shared with the test suite.
 """
 
 from __future__ import annotations
@@ -20,111 +22,58 @@ from . import loss as losses
 from .evaluate import ClassCounts, EvalCounts, precision_recall
 from .kernels import ConvParams, conv2d, pool2d, upsample_nearest
 from .model import ModelConfig
+from .oracles import naive_conv2d, naive_pool2d, nms_reference, orcc_fixed_point
 from .postproc import Detection, nms, orcc
 from .weights_io import WeightsFormatError, load_weights, save_weights
 
 
-def naive_conv2d(x, kernel, bias, stride, padding, groups):
-    """Scalar-loop cross-correlation used as the conv oracle."""
-    n, c, h, w = x.shape
-    out_c, cg, kh, kw = kernel.shape
-    sh, sw = stride
-    ph, pw = padding
-    out_h = (h + 2 * ph - kh) // sh + 1
-    out_w = (w + 2 * pw - kw) // sw + 1
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=np.float64)
-    padded[:, :, ph:ph + h, pw:pw + w] = x
-    out = np.zeros((n, out_c, out_h, out_w), dtype=np.float64)
-    og = out_c // groups
-    for b in range(n):
-        for o in range(out_c):
-            g = o // og
-            for i in range(out_h):
-                for j in range(out_w):
-                    acc = 0.0
-                    for ci in range(cg):
-                        for u in range(kh):
-                            for v in range(kw):
-                                acc += (padded[b, g * cg + ci, i * sh + u, j * sw + v]
-                                        * kernel[o, ci, u, v])
-                    out[b, o, i, j] = acc + (bias[o] if bias is not None else 0.0)
-    return out
+def random_conv_case(rng, depthwise, min_extent=1):
+    """Random small conv input and params plus the naive-loop result."""
+    c = int(rng.integers(1, 9))
+    h = int(rng.integers(min_extent, 9))
+    w = int(rng.integers(min_extent, 9))
+    kh = int(rng.integers(1, min(3, h) + 1))
+    kw = int(rng.integers(1, min(3, w) + 1))
+    out_c = c if depthwise else int(rng.integers(1, 9))
+    groups = c if depthwise else 1
+    stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+    padding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+    x = rng.standard_normal((1, c, h, w)).astype(np.float32)
+    k = rng.standard_normal((out_c, c // groups, kh, kw)).astype(np.float32)
+    b = rng.standard_normal(out_c).astype(np.float32)
+    want = naive_conv2d(x.astype(np.float64), k.astype(np.float64),
+                        b.astype(np.float64), stride, padding, groups)
+    return x, ConvParams(k, b, stride=stride, padding=padding,
+                         groups=groups), want
 
 
-def naive_pool2d(x, mode, window, stride):
-    n, c, h, w = x.shape
-    wh, ww = window
-    sh, sw = stride
-    out_h = (h - wh) // sh + 1
-    out_w = (w - ww) // sw + 1
-    out = np.zeros((n, c, out_h, out_w), dtype=np.float64)
-    for b in range(n):
-        for ch in range(c):
-            for i in range(out_h):
-                for j in range(out_w):
-                    patch = x[b, ch, i * sh:i * sh + wh, j * sw:j * sw + ww]
-                    out[b, ch, i, j] = patch.max() if mode == "max" else patch.mean()
-    return out
+def random_boxes(rng, count):
+    """``count`` corner-form boxes: top-left in [0, 80), sides in [2, 40)."""
+    xy = rng.uniform(0, 80, (count, 2))
+    wh = rng.uniform(2, 40, (count, 2))
+    return np.concatenate([xy, xy + wh], axis=1)
 
 
-def nms_reference(boxes, scores, thresh):
-    """Quadratic NMS: keep a candidate iff it clears every kept box."""
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    kept = []
-    for i in order:
-        if all(anc.iou(boxes[i], boxes[k]) <= thresh for k in kept):
-            kept.append(i)
-    return kept
-
-
-def orcc_fixed_point(faces, masks, thresh):
-    """Literal cross-class removal loops, re-run until no removal occurs."""
-    face_alive = [True] * len(faces)
-    mask_alive = [True] * len(masks)
-    changed = True
-    while changed:
-        changed = False
-        for fi, face in enumerate(faces):
-            for mi, mask in enumerate(masks):
-                if not face_alive[fi] or not mask_alive[mi]:
-                    continue
-                if anc.iou(face.box, mask.box) > thresh:
-                    if face.confidence >= mask.confidence:
-                        mask_alive[mi] = False
-                    else:
-                        face_alive[fi] = False
-                    changed = True
-    return ([f for f, ok in zip(faces, face_alive) if ok],
-            [m for m, ok in zip(masks, mask_alive) if ok])
+def random_detections(rng, label, count):
+    """``count`` detections of one class, sides in [5, 40), random confidence."""
+    dets = []
+    for _ in range(count):
+        xy = rng.uniform(0, 60, 2)
+        wh = rng.uniform(5, 40, 2)
+        dets.append(Detection(np.array([*xy, *(xy + wh)]), label,
+                              float(rng.uniform(0, 1))))
+    return dets
 
 
 def _suite_kernels():
     rng = np.random.default_rng(11)
     for case in range(20):
-        c = int(rng.integers(1, 5))
-        h = int(rng.integers(3, 7))
-        w = int(rng.integers(3, 7))
-        out_c = int(rng.integers(1, 5))
-        kh = int(rng.integers(1, min(3, h) + 1))
-        kw = int(rng.integers(1, min(3, w) + 1))
-        stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        padding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-        if case % 4 == 0:
-            groups, out_c, cg = c, c, 1
-        else:
-            groups, cg = 1, c
-        x = rng.standard_normal((1, c, h, w)).astype(np.float32)
-        k = rng.standard_normal((out_c, cg, kh, kw)).astype(np.float32)
-        b = rng.standard_normal(out_c).astype(np.float32)
-        got = conv2d(x, ConvParams(k, b, stride=stride, padding=padding,
-                                   groups=groups))
-        want = naive_conv2d(x.astype(np.float64), k.astype(np.float64),
-                            b.astype(np.float64), stride, padding, groups)
-        if np.abs(got - want).max() > 1e-5:
+        x, params, want = random_conv_case(rng, case % 4 == 0, min_extent=3)
+        if np.abs(conv2d(x, params) - want).max() > 1e-5:
             return False, f"conv2d disagrees with naive loops on case {case}"
 
         mode = "max" if case % 2 == 0 else "avg"
-        window = (min(2, h), min(2, w))
+        window = (2, 2)                         # extents are at least 3
         gotp = pool2d(x, mode, window, (1, 1))
         wantp = naive_pool2d(x.astype(np.float64), mode, window, (1, 1))
         if np.abs(gotp - wantp).max() > 1e-5:
@@ -171,9 +120,7 @@ def _suite_nms():
     rng = np.random.default_rng(3)
     for case in range(200):
         m = int(rng.integers(0, 40))
-        xy = rng.uniform(0, 80, (m, 2))
-        wh = rng.uniform(2, 40, (m, 2))
-        boxes = np.concatenate([xy, xy + wh], axis=1)
+        boxes = random_boxes(rng, m)
         scores = rng.uniform(0, 1, m)
         kept_boxes, kept_scores = nms(boxes, scores, 0.4)
         ref = nms_reference(boxes, scores, 0.4)
@@ -181,16 +128,6 @@ def _suite_nms():
                 and np.array_equal(kept_scores, scores[ref])):
             return False, f"NMS disagrees with quadratic reference on case {case}"
     return True, "greedy NMS equals the quadratic reference"
-
-
-def _rand_detections(rng, label, count):
-    dets = []
-    for _ in range(count):
-        xy = rng.uniform(0, 60, 2)
-        wh = rng.uniform(5, 40, 2)
-        dets.append(Detection(np.array([*xy, *(xy + wh)]), label,
-                              float(rng.uniform(0, 1))))
-    return dets
 
 
 def _suite_orcc():
@@ -201,8 +138,8 @@ def _suite_orcc():
         return False, "high-overlap fixture did not drop the mask"
     rng = np.random.default_rng(5)
     for case in range(200):
-        faces_in = _rand_detections(rng, anc.FACE, int(rng.integers(0, 8)))
-        masks_in = _rand_detections(rng, anc.MASK, int(rng.integers(0, 8)))
+        faces_in = random_detections(rng, anc.FACE, int(rng.integers(0, 8)))
+        masks_in = random_detections(rng, anc.MASK, int(rng.integers(0, 8)))
         got = orcc(faces_in, masks_in, 0.4)
         want = orcc_fixed_point(faces_in, masks_in, 0.4)
         # survivors are the same input objects, so compare identities

@@ -1,12 +1,7 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from maskdet.anchors import AnchorSet, LevelLayout, center_to_corner
+from maskdet.anchors import AnchorSet, LevelLayout
 from maskdet.model import ModelConfig, build_model, init_reference_weights
 
 # small enough that a full forward takes milliseconds: grids 4/2/1, p = 42

@@ -18,19 +18,20 @@ from maskdet.anchors import (FACE, MASK, center_to_corner, decode, encode,
 from maskdet.cli import main
 from maskdet.evaluate import ClassCounts, EvalCounts, match_for_eval, precision_recall
 from maskdet.images import save_ppm
-from maskdet.kernels import ConvParams, conv2d, pool2d, upsample_nearest
+from maskdet.kernels import conv2d, pool2d, upsample_nearest
 from maskdet.loss import (cross_entropy, cross_entropy_grad, multibox_loss,
                           smooth_l1, smooth_l1_grad)
-from maskdet.model import (ModelConfig, Predictions, build_model,
-                           channel_attention, init_reference_weights,
-                           model_forward, spatial_attention)
+from maskdet.model import (ModelConfig, build_model, channel_attention,
+                           init_reference_weights, model_forward,
+                           spatial_attention)
 from maskdet.postproc import Detection, nms, orcc
+from maskdet.selftest import random_conv_case, random_detections
 from maskdet.weights_io import WeightsFormatError, load_weights, save_weights
 from maskdet.annotations import (AnnotatedObject, AnnotationError, ImageRecord,
                                  load_annotations, load_detections,
                                  save_detections)
-from conftest import TINY
-from oracles import naive_conv2d, naive_pool2d, naive_upsample, nms_reference, orcc_fixed_point
+from maskdet.oracles import (naive_pool2d, naive_upsample, nms_reference,
+                             orcc_fixed_point)
 from test_loss import make_pred, make_targets
 
 
@@ -53,23 +54,9 @@ def test_kernel_oracle_suite():
     tensors = 0
 
     for case in range(70):                      # 40 standard + 30 depthwise
-        c = int(rng.integers(1, 9))
-        h, w = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        kh = int(rng.integers(1, min(3, h) + 1))
-        kw = int(rng.integers(1, min(3, w) + 1))
         depthwise = case >= 40
-        out_c = c if depthwise else int(rng.integers(1, 9))
-        groups = c if depthwise else 1
-        stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        padding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-        x = rng.standard_normal((1, c, h, w)).astype(np.float32)
-        k = rng.standard_normal((out_c, c // groups, kh, kw)).astype(np.float32)
-        b = rng.standard_normal(out_c).astype(np.float32)
-        got = conv2d(x, ConvParams(k, b, stride=stride, padding=padding,
-                                   groups=groups))
-        want = naive_conv2d(x.astype(np.float64), k.astype(np.float64),
-                            b.astype(np.float64), stride, padding, groups)
-        err = np.abs(got - want).max()
+        x, params, want = random_conv_case(rng, depthwise, min_extent=2)
+        err = np.abs(conv2d(x, params) - want).max()
         check(failures, err <= 1e-5,
               f"conv case {case} ({'dw' if depthwise else 'std'}) err {err:.2e}")
         tensors += 1
@@ -173,19 +160,9 @@ def test_orcc_criterion():
     check(failures, faces == [] and len(masks) == 2, "face-removed-early fixture")
 
     rng = np.random.default_rng(17)
-
-    def rand_list(label, count):
-        out = []
-        for _ in range(count):
-            xy = rng.uniform(0, 60, 2)
-            wh = rng.uniform(5, 40, 2)
-            out.append(Detection(np.array([*xy, *(xy + wh)]), label,
-                                 float(rng.uniform(0, 1))))
-        return out
-
     for case in range(1000):
-        faces_in = rand_list(FACE, int(rng.integers(0, 9)))
-        masks_in = rand_list(MASK, int(rng.integers(0, 9)))
+        faces_in = random_detections(rng, FACE, int(rng.integers(0, 9)))
+        masks_in = random_detections(rng, MASK, int(rng.integers(0, 9)))
         got = orcc(faces_in, masks_in, 0.4)
         want = orcc_fixed_point(faces_in, masks_in, 0.4)
         if ([id(d) for d in got[0]] != [id(d) for d in want[0]]

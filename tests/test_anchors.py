@@ -10,7 +10,7 @@ from maskdet.anchors import (FACE, MASK, center_to_corner, corner_to_center,
                              iou_matrix, match_targets)
 from maskdet.model import ModelConfig
 from conftest import TINY, make_anchor_set
-from oracles import iou_ref, match_reference
+from maskdet.oracles import iou_ref, match_reference
 
 finite_coord = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
 

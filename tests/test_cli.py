@@ -33,6 +33,14 @@ def test_argument_errors_exit_2():
     assert main(["anchors"]) == 2                      # missing --size
     assert main(["frobnicate"]) == 2                   # unknown command
     assert main(["anchors", "--size", "640", "--strides", "a,b"]) == 2
+    detect = ["detect", "--weights", "w", "--input", "i", "--out", "o"]
+    assert main(detect + ["--tc", "2"]) == 2
+    assert main(detect + ["--tc", "-0.1"]) == 2
+    assert main(detect + ["--tc", "nan"]) == 2
+    assert main(detect + ["--nms", "-3", "--orcc", "7"]) == 2
+    assert main(detect + ["--orcc", "1.5"]) == 2
+    assert main(detect + ["--nms", "x"]) == 2
+    assert main(["eval", "--pred", "p", "--gt", "g", "--iou", "1.01"]) == 2
 
 
 def test_eval_fixture_prints_metrics(tmp_path, capsys):

@@ -7,7 +7,8 @@ from maskdet.kernels import (ConvParams, activate, add_scaled,
                              concat_channels, conv2d, conv_output_extent,
                              global_pool, linear, pool2d, sigmoid,
                              upsample_nearest)
-from oracles import naive_conv2d, naive_pool2d, naive_upsample
+from maskdet.oracles import naive_conv2d, naive_pool2d, naive_upsample
+from maskdet.selftest import random_conv_case
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -316,6 +317,9 @@ def test_linear_hand_case():
     out = linear(np.array([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 2.0]]),
                  np.array([0.0, 1.0]))
     np.testing.assert_array_equal(out, [1.0, 5.0])
+    rows = linear(np.array([[1.0, 2.0], [-1.0, 0.5]]),
+                  np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0.0, 1.0]))
+    np.testing.assert_array_equal(rows, [[1.0, 5.0], [-1.0, 2.0]])
 
 
 def test_linear_dimension_mismatch():
@@ -323,6 +327,8 @@ def test_linear_dimension_mismatch():
         linear(np.ones(3), np.ones((2, 2)), np.ones(2))
     with pytest.raises(ValueError, match="bias shape"):
         linear(np.ones(2), np.ones((2, 2)), np.ones(3))
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        linear(np.ones((1, 1, 2)), np.ones((2, 2)), np.ones(2))
 
 
 # ----------------------------------------------- randomized oracle sweep
@@ -331,21 +337,7 @@ def test_linear_dimension_mismatch():
 @given(st.integers(0, 10**9))
 def test_conv_random_small_tensors_vs_naive(seed):
     rng = np.random.default_rng(seed)
-    c = int(rng.integers(1, 9))
-    h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-    kh = int(rng.integers(1, min(3, h) + 1))
-    kw = int(rng.integers(1, min(3, w) + 1))
-    depthwise = bool(rng.integers(0, 2))
-    out_c = c if depthwise else int(rng.integers(1, 9))
-    groups = c if depthwise else 1
-    stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-    padding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-    x = rng.standard_normal((1, c, h, w)).astype(np.float32)
-    k = rng.standard_normal((out_c, c // groups, kh, kw)).astype(np.float32)
-    b = rng.standard_normal(out_c).astype(np.float32)
-    got = conv2d(x, ConvParams(k, b, stride=stride, padding=padding,
-                               groups=groups))
-    want = naive_conv2d(x.astype(np.float64), k.astype(np.float64),
-                        b.astype(np.float64), stride, padding, groups)
+    x, params, want = random_conv_case(rng, bool(rng.integers(0, 2)))
+    got = conv2d(x, params)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-5

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from maskdet.anchors import generate_anchors
-from maskdet.kernels import ConvParams, activate, concat_channels, conv2d, sigmoid
+from maskdet.kernels import activate, concat_channels, conv2d
 from maskdet.model import (BACKBONE_STAGES, Model, ModelConfig, Predictions,
                            backbone_forward, build_model, channel_attention,
                            context_attention_forward, flatten_head_map,
                            fpn_forward, init_reference_weights, kaiming_init,
                            model_forward, spatial_attention, weight_manifest)
+from maskdet.oracles import naive_conv2d
 from conftest import TINY
-from oracles import naive_conv2d
 
 rng = np.random.default_rng(42)
 
@@ -61,6 +61,15 @@ def test_build_model_transposed_shape(tiny_store):
     store = dict(tiny_store)
     store["fpn.lateral0.weight"] = store["fpn.lateral0.weight"].transpose(1, 0, 2, 3)
     with pytest.raises(ValueError, match="fpn.lateral0.weight.*expected"):
+        build_model(TINY, store)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_model_rejects_non_finite_weight(tiny_store, bad):
+    store = dict(tiny_store)
+    store["head0.cls.weight"] = store["head0.cls.weight"].copy()
+    store["head0.cls.weight"][0, 0, 0, 0] = bad
+    with pytest.raises(ValueError, match="'head0.cls.weight' has non-finite"):
         build_model(TINY, store)
 
 

@@ -2,21 +2,16 @@ import numpy as np
 import pytest
 
 from maskdet.anchors import FACE, MASK, encode, generate_anchors, iou
-from maskdet.model import Predictions, build_model, model_forward
+from maskdet.model import Predictions, model_forward
 from maskdet.postproc import (Detection, detect, filter_confidence, nms, orcc,
                               postprocess, score_predictions, softmax_rows)
+from maskdet.oracles import nms_reference, orcc_fixed_point
+from maskdet.selftest import random_boxes, random_detections
 from conftest import TINY
-from oracles import nms_reference, orcc_fixed_point
 
 
 def det(box, label, conf):
     return Detection(np.asarray(box, dtype=np.float64), label, conf)
-
-
-def random_boxes(rng, count, span=80.0):
-    xy = rng.uniform(0, span, (count, 2))
-    wh = rng.uniform(2, span / 2, (count, 2))
-    return np.concatenate([xy, xy + wh], axis=1)
 
 
 # ----------------------------------------------------------------- scoring
@@ -172,20 +167,11 @@ def test_orcc_equal_confidence_removes_mask():
     assert len(faces) == 1 and masks == []
 
 
-def rand_dets(rng, label, count, span=60.0):
-    out = []
-    for _ in range(count):
-        xy = rng.uniform(0, span, 2)
-        wh = rng.uniform(5, 40, 2)
-        out.append(det([*xy, *(xy + wh)], label, float(rng.uniform(0, 1))))
-    return out
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_orcc_matches_fixed_point_oracle(seed):
     rng = np.random.default_rng(seed)
-    faces = rand_dets(rng, FACE, int(rng.integers(0, 10)))
-    masks = rand_dets(rng, MASK, int(rng.integers(0, 10)))
+    faces = random_detections(rng, FACE, int(rng.integers(0, 10)))
+    masks = random_detections(rng, MASK, int(rng.integers(0, 10)))
     got_f, got_m = orcc(faces, masks, 0.4)
     want_f, want_m = orcc_fixed_point(faces, masks, 0.4)
     assert [id(d) for d in got_f] == [id(d) for d in want_f]
@@ -195,8 +181,8 @@ def test_orcc_matches_fixed_point_oracle(seed):
 def test_orcc_no_surviving_cross_overlap():
     rng = np.random.default_rng(99)
     for _ in range(50):
-        faces = rand_dets(rng, FACE, int(rng.integers(0, 8)))
-        masks = rand_dets(rng, MASK, int(rng.integers(0, 8)))
+        faces = random_detections(rng, FACE, int(rng.integers(0, 8)))
+        masks = random_detections(rng, MASK, int(rng.integers(0, 8)))
         out_f, out_m = orcc(faces, masks, 0.4)
         for f in out_f:
             for m in out_m:
