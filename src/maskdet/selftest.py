@@ -23,7 +23,7 @@ from .evaluate import ClassCounts, EvalCounts, precision_recall
 from .kernels import ConvParams, conv2d, pool2d, upsample_nearest
 from .model import ModelConfig
 from .oracles import naive_conv2d, naive_pool2d, nms_reference, orcc_fixed_point
-from .postproc import Detection, nms, orcc
+from .postproc import ORCC_SLAB_ELEMENTS, Detection, nms, orcc
 from .weights_io import WeightsFormatError, load_weights, save_weights
 
 
@@ -63,6 +63,22 @@ def random_detections(rng, label, count):
         dets.append(Detection(np.array([*xy, *(xy + wh)]), label,
                               float(rng.uniform(0, 1))))
     return dets
+
+
+def clustered_detections(rng, label, count, centres):
+    """``count`` detections of one class crowded around ``centres``.
+
+    Consecutive detections share a centre (the list walks the centres in
+    order), sides lie in [16, 24) and the jitter is 6 px, so a detection
+    overlaps most others of its cluster.  Confidences come from four values,
+    so equal face/mask confidences are common.
+    """
+    at = centres[np.arange(count) * len(centres) // count]
+    xy = at + rng.uniform(-6, 6, (count, 2))
+    wh = rng.uniform(16, 24, (count, 2))
+    conf = rng.choice([0.3, 0.5, 0.7, 0.9], size=count)
+    return [Detection(np.array([*p, *(p + s)]), label, float(c))
+            for p, s, c in zip(xy, wh, conf)]
 
 
 def _suite_kernels():
@@ -137,9 +153,15 @@ def _suite_orcc():
     if len(faces) != 1 or masks:
         return False, "high-overlap fixture did not drop the mask"
     rng = np.random.default_rng(5)
-    for case in range(200):
-        faces_in = random_detections(rng, anc.FACE, int(rng.integers(0, 8)))
-        masks_in = random_detections(rng, anc.MASK, int(rng.integers(0, 8)))
+    cases = [(random_detections(rng, anc.FACE, int(rng.integers(0, 8))),
+              random_detections(rng, anc.MASK, int(rng.integers(0, 8))))
+             for _ in range(200)]
+    # one crowded case whose faces span two IoU slabs
+    centres = rng.uniform(0, 400, (40, 2))
+    cases.append((clustered_detections(rng, anc.FACE, ORCC_SLAB_ELEMENTS // 1000
+                                       + 100, centres),
+                  clustered_detections(rng, anc.MASK, 1000, centres)))
+    for case, (faces_in, masks_in) in enumerate(cases):
         got = orcc(faces_in, masks_in, 0.4)
         want = orcc_fixed_point(faces_in, masks_in, 0.4)
         # survivors are the same input objects, so compare identities

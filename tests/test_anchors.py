@@ -86,16 +86,23 @@ def test_iou_symmetric_bounded_and_matches_reference(a, b):
 
 
 def test_iou_matrix_matches_scalar():
+    """Bit-equal to the scalar IoU, which ORCC's exactness relies on."""
     rng = np.random.default_rng(1)
-    xy = rng.uniform(0, 50, (8, 2))
-    boxes_a = np.concatenate([xy, xy + rng.uniform(1, 30, (8, 2))], axis=1)
-    xy = rng.uniform(0, 50, (5, 2))
-    boxes_b = np.concatenate([xy, xy + rng.uniform(1, 30, (5, 2))], axis=1)
-    mat = iou_matrix(boxes_a, boxes_b)
-    for i in range(8):
-        for j in range(5):
-            assert mat[i, j] == pytest.approx(iou(boxes_a[i], boxes_b[j]),
-                                              abs=1e-12)
+    xy = rng.uniform(0, 50, (40, 2))
+    real = np.concatenate([xy, xy + rng.uniform(1, 30, (40, 2))], axis=1)
+    xy = rng.integers(0, 12, (40, 2))
+    grid = np.concatenate([xy, xy + rng.integers(0, 6, (40, 2))], axis=1)
+    right = real[:, [2, 1, 2, 3]] + [0, 0, 7, 0]      # touches on x_max
+    below = real[:, [0, 3, 2, 3]] + [0, 0, 0, 4]      # touches on y_max
+    edges = np.array([[0, 0, 10, 10], [10, 0, 20, 10], [0, 10, 10, 20],
+                      [5, 5, 5, 5], [0, 0, 10, 0], [3, 0, 3, 10],
+                      [0, 0, 10, 10]], dtype=np.float64)
+    boxes = np.concatenate([real, grid, right, below, edges, real[:5]])
+    mat = iou_matrix(boxes, boxes)
+    mismatches = [(i, j) for i in range(len(boxes)) for j in range(len(boxes))
+                  if mat[i, j] != iou(boxes[i], boxes[j])]
+    assert mismatches == []
+    assert mat[:5, -5:].diagonal().tolist() == [1.0] * 5
 
 
 # --------------------------------------------------------- encode / decode

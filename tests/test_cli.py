@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from maskdet.cli import main
+from maskdet.cli import build_parser, main
 from maskdet.images import save_ppm
 from maskdet.weights_io import load_weights
 
@@ -40,7 +40,18 @@ def test_argument_errors_exit_2():
     assert main(detect + ["--nms", "-3", "--orcc", "7"]) == 2
     assert main(detect + ["--orcc", "1.5"]) == 2
     assert main(detect + ["--nms", "x"]) == 2
+    assert main(detect + ["--size", "1"]) == 2
+    assert main(detect + ["--size", "16"]) == 2
+    assert main(detect + ["--size", "0"]) == 2
+    assert main(detect + ["--size", "-5"]) == 2
+    assert main(detect + ["--size", "x"]) == 2
     assert main(["eval", "--pred", "p", "--gt", "g", "--iou", "1.01"]) == 2
+
+
+def test_detect_size_accepts_largest_stride_and_up():
+    detect = ["detect", "--weights", "w", "--input", "i", "--out", "o"]
+    for size in (32, 840):
+        assert build_parser().parse_args(detect + ["--size", str(size)]).size == size
 
 
 def test_eval_fixture_prints_metrics(tmp_path, capsys):
@@ -125,6 +136,23 @@ def test_detect_end_to_end_writes_detections(tmp_path, ppm, capsys):
         assert obj["confidence"] >= 0.6
         x0, y0, x1, y1 = obj["box"]
         assert 0 <= x0 <= x1 <= 64 and 0 <= y0 <= y1 <= 48
+
+
+def test_detect_output_loads_in_eval(tmp_path, capsys):
+    """Kaiming weights decode thousands of zero-area boxes; none is written."""
+    rng = np.random.default_rng(0)
+    image = tmp_path / "scene.ppm"
+    save_ppm(image, rng.integers(0, 256, (480, 640, 3), dtype=np.uint8))
+    weights = tmp_path / "w.rfmw"
+    assert main(["init-weights", "--out", str(weights), "--seed", "7"]) == 0
+    dets = tmp_path / "dets.json"
+    assert main(["detect", "--weights", str(weights), "--input", str(image),
+                 "--out", str(dets)]) == 0
+    assert json.loads(dets.read_text())["images"][0]["objects"]
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps({"images": [{"id": "scene", "width": 640,
+                                          "height": 480, "objects": []}]}))
+    assert main(["eval", "--pred", str(dets), "--gt", str(gt)]) == 0
 
 
 def test_detect_directory_mode(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from maskdet.annotations import (AnnotatedObject, AnnotationError, ImageRecord,
-                                 load_annotations, load_detections,
+                                 load_annotations, load_detections, loads_back,
                                  save_detections, serialize_detections)
 from maskdet.anchors import FACE, MASK
 from maskdet.images import load_image, load_ppm, preprocess, resize_nearest, save_ppm
@@ -258,6 +258,26 @@ def test_annotations_fully_outside_box_rejected(tmp_path):
     doc = ann_doc([{"class": "face", "box": [200, 200, 300, 300]}])
     with pytest.raises(AnnotationError, match="img0.*degenerate"):
         load_annotations(write_json(tmp_path, doc))
+
+
+@pytest.mark.parametrize("box, ok", [
+    ([10, 20, 30, 40], True),
+    ([10, 20, 30, 20 + 2e-6], True),        # rounds to 20.000002
+    ([10, 20, 30, 20 + 2e-7], False),       # rounds to a zero-height box
+    ([100, 0, 120, 10], False),             # outside the 100 px width
+    ([-5, 70, 10, 80 + 1e-3], True),        # clipped, still positive
+])
+def test_loads_back_agrees_with_loader(tmp_path, box, ok):
+    box = np.array(box, dtype=np.float64)
+    assert loads_back(box, 100, 80) is ok
+    path = tmp_path / "d.json"
+    save_detections([ImageRecord("img0", 100, 80,
+                                 [AnnotatedObject(FACE, box, 0.5)])], path)
+    if ok:
+        assert len(load_detections(path)[0].objects) == 1
+    else:
+        with pytest.raises(AnnotationError, match="img0.*degenerate"):
+            load_detections(path)
 
 
 def test_annotations_duplicate_image_id(tmp_path):

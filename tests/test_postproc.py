@@ -3,10 +3,12 @@ import pytest
 
 from maskdet.anchors import FACE, MASK, encode, generate_anchors, iou
 from maskdet.model import Predictions, model_forward
-from maskdet.postproc import (Detection, detect, filter_confidence, nms, orcc,
-                              postprocess, score_predictions, softmax_rows)
+from maskdet.postproc import (ORCC_SLAB_ELEMENTS, Detection, detect,
+                              filter_confidence, nms, orcc, postprocess,
+                              score_predictions, softmax_rows)
 from maskdet.oracles import nms_reference, orcc_fixed_point
-from maskdet.selftest import random_boxes, random_detections
+from maskdet.selftest import (clustered_detections, random_boxes,
+                              random_detections)
 from conftest import TINY
 
 
@@ -70,6 +72,20 @@ def test_filter_thresholds():
     np.testing.assert_array_equal(kept_b, boxes[1:])
     assert filter_confidence(boxes, scores, 0.0)[1].size == 3
     assert filter_confidence(boxes, np.array([0.3, 1.0, 0.9]), 1.0)[1].tolist() == [1.0]
+
+
+def test_filter_drops_non_finite_and_degenerate_boxes():
+    boxes = np.array([[0, 0, 10, 10],         # kept
+                      [5, 5, 5, 9],           # zero width
+                      [5, 5, 9, 5],           # zero height
+                      [6, 6, 2, 9],           # inverted
+                      [np.nan, 0, 10, 10],
+                      [0, 0, np.inf, 10],
+                      [1, 1, 2, 1 + 2e-6]])   # kept: positive area
+    scores = np.full(len(boxes), 0.9)
+    kept_b, kept_s = filter_confidence(boxes, scores, 0.5)
+    np.testing.assert_array_equal(kept_b, boxes[[0, 6]])
+    assert kept_s.tolist() == [0.9, 0.9]
 
 
 # --------------------------------------------------------------------- NMS
@@ -174,6 +190,19 @@ def test_orcc_matches_fixed_point_oracle(seed):
     masks = random_detections(rng, MASK, int(rng.integers(0, 10)))
     got_f, got_m = orcc(faces, masks, 0.4)
     want_f, want_m = orcc_fixed_point(faces, masks, 0.4)
+    assert [id(d) for d in got_f] == [id(d) for d in want_f]
+    assert [id(d) for d in got_m] == [id(d) for d in want_m]
+
+
+@pytest.mark.parametrize("thresh", [0.0, 0.5, 1.0])
+def test_orcc_matches_fixed_point_oracle_across_slabs(thresh):
+    rng = np.random.default_rng(int(thresh * 10))
+    centres = rng.uniform(0, 400, (40, 2))
+    masks = clustered_detections(rng, MASK, 1000, centres)
+    rows = ORCC_SLAB_ELEMENTS // len(masks)
+    faces = clustered_detections(rng, FACE, rows + 100, centres)
+    got_f, got_m = orcc(faces, masks, thresh)
+    want_f, want_m = orcc_fixed_point(faces, masks, thresh)
     assert [id(d) for d in got_f] == [id(d) for d in want_f]
     assert [id(d) for d in got_m] == [id(d) for d in want_m]
 
