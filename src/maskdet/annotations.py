@@ -11,13 +11,15 @@ Schema::
 Serialization is canonical: compact separators, keys in the order shown,
 floats rendered with six decimal places and a trailing newline, so equal
 data always produces byte-identical files.  Validation clips boxes to the
-image extents and rejects inverted or zero-area boxes, unknown class
-strings and missing fields, always naming the offending image id.
+image extents and rejects non-finite numbers, inverted or zero-area boxes,
+unknown class strings and missing fields, always naming the offending image
+id.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +104,9 @@ def _parse_image(entry, with_confidence: bool) -> ImageRecord:
         if box.shape != (4,):
             raise AnnotationError(f"image '{image_id}': box must have 4 "
                                   f"coordinates, got {box.tolist()}")
+        if not np.isfinite(box).all():
+            raise AnnotationError(f"image '{image_id}': non-finite box "
+                                  f"{box.tolist()}")
         if box[0] > box[2] or box[1] > box[3]:
             raise AnnotationError(f"image '{image_id}': inverted box "
                                   f"{box.tolist()}")
@@ -113,6 +118,9 @@ def _parse_image(entry, with_confidence: bool) -> ImageRecord:
         confidence = None
         if with_confidence:
             confidence = float(need(obj, "confidence", "object"))
+            if not math.isfinite(confidence):
+                raise AnnotationError(f"image '{image_id}': non-finite "
+                                      f"confidence {confidence}")
         objects.append(AnnotatedObject(CLASS_LABELS[cls], box, confidence))
     return ImageRecord(image_id, int(width), int(height), objects)
 

@@ -54,15 +54,18 @@ def _parse_unit_float(text: str) -> float:
     return value
 
 
-def _parse_input_size(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < MIN_INPUT_SIZE:
-        raise argparse.ArgumentTypeError(f"must be at least {MIN_INPUT_SIZE} "
-                                         f"(the largest stride), got {text!r}")
-    return value
+def _int_at_least(minimum: int, why: str = ""):
+    """An argparse type for integers no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}{why}, "
+                                             f"got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="a .ppm file or a directory of .ppm files")
     p.add_argument("--out", required=True, help="output detections JSON")
-    p.add_argument("--size", type=_parse_input_size, default=640,
+    p.add_argument("--size", default=640,
+                   type=_int_at_least(MIN_INPUT_SIZE, " (the largest stride)"),
                    help=f"network input size, at least {MIN_INPUT_SIZE}")
     p.add_argument("--tc", type=_parse_unit_float, default=0.5,
                    help="confidence threshold in [0, 1]")
@@ -91,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="matching IoU threshold in [0, 1]")
 
     p = sub.add_parser("anchors", help="print anchor count and layout")
-    p.add_argument("--size", type=int, required=True, help="input size in pixels")
+    p.add_argument("--size", type=_int_at_least(1), required=True,
+                   help="input size in pixels, at least 1")
     p.add_argument("--strides", type=_parse_strides, default=(8, 16, 32),
                    help="comma-separated level strides (default 8,16,32)")
 

@@ -44,6 +44,9 @@ def load_ppm(path) -> np.ndarray:
                          f"binary PPM (P6)")
     width = int(next_token())
     height = int(next_token())
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: image extents must be positive, got "
+                         f"width {width} and height {height}")
     maxval = int(next_token())
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}, only 8-bit "

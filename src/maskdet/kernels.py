@@ -96,7 +96,10 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """2-D cross-correlation of an NCHW tensor with a weight kernel.
 
     Output extents follow h' = floor((h + 2*pad - kh) / stride) + 1 and must
-    be at least 1.  Accumulation happens in float64; the result is float32.
+    be at least 1.  Every group count takes the same lowering: the padded
+    input is unrolled into per-group im2col columns and multiplied by the
+    per-group kernel matrices in one batched matmul.  Accumulation happens
+    in float64; the result is float32.
     """
     _require_nchw(x)
     n, c, h, w = x.shape
@@ -117,27 +120,14 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
                          f"padding {params.padding} does not fit input "
                          f"{h}x{w} (output would be {out_h}x{out_w})")
 
-    padded = _pad2d(x, ph, pw, np.float64)
-    kernel = params.kernel.astype(np.float64)
-
-    if g == 1:
-        win = _windows(padded, kh, kw, sh, sw)
-        # (n, h', w', out_c) <- sum over (c, kh, kw)
-        out = np.tensordot(win, kernel, axes=([1, 4, 5], [1, 2, 3]))
-        out = out.transpose(0, 3, 1, 2)
-    elif g == c and g == out_c:
-        # depthwise: one kernel per channel
-        win = _windows(padded, kh, kw, sh, sw)
-        out = np.einsum("nchwuv,cuv->nchw", win, kernel[:, 0])
-    else:
-        cg = c // g
-        og = out_c // g
-        out = np.empty((n, out_c, out_h, out_w), dtype=np.float64)
-        for i in range(g):
-            win = _windows(padded[:, i * cg:(i + 1) * cg], kh, kw, sh, sw)
-            part = np.tensordot(win, kernel[i * og:(i + 1) * og],
-                                axes=([1, 4, 5], [1, 2, 3]))
-            out[:, i * og:(i + 1) * og] = part.transpose(0, 3, 1, 2)
+    # (g, og, cg*kh*kw) kernels times (n, g, cg*kh*kw, h'*w') im2col columns
+    cg, og = c // g, out_c // g
+    win = _windows(_pad2d(x, ph, pw, np.float64), kh, kw, sh, sw)
+    cols = (win.reshape(n, g, cg, out_h, out_w, kh, kw)
+            .transpose(0, 1, 2, 5, 6, 3, 4)
+            .reshape(n, g, cg * kh * kw, out_h * out_w))
+    kernel = params.kernel.astype(np.float64).reshape(g, og, cg * kh * kw)
+    out = np.matmul(kernel, cols).reshape(n, out_c, out_h, out_w)
 
     if params.bias is not None:
         out = out + params.bias.astype(np.float64)[None, :, None, None]

@@ -95,6 +95,17 @@ def _suite_kernels():
         if np.abs(gotp - wantp).max() > 1e-5:
             return False, f"pool2d disagrees with naive loops on case {case}"
 
+    # a fixed grouped case: groups neither 1 nor c, two outputs per group
+    grng = np.random.default_rng(12)
+    x = grng.standard_normal((2, 6, 5, 5)).astype(np.float32)
+    k = grng.standard_normal((6, 2, 3, 3)).astype(np.float32)
+    b = grng.standard_normal(6).astype(np.float32)
+    want = naive_conv2d(x.astype(np.float64), k.astype(np.float64),
+                        b.astype(np.float64), (2, 1), (1, 0), 3)
+    got = conv2d(x, ConvParams(k, b, stride=(2, 1), padding=(1, 0), groups=3))
+    if got.shape != want.shape or np.abs(got - want).max() > 1e-5:
+        return False, "conv2d disagrees with naive loops on the grouped case"
+
     x = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
     up = upsample_nearest(x, 2)
     if not np.array_equal(up[:, :, ::2, ::2], x):

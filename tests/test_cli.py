@@ -46,6 +46,9 @@ def test_argument_errors_exit_2():
     assert main(detect + ["--size", "-5"]) == 2
     assert main(detect + ["--size", "x"]) == 2
     assert main(["eval", "--pred", "p", "--gt", "g", "--iou", "1.01"]) == 2
+    assert main(["anchors", "--size", "0"]) == 2
+    assert main(["anchors", "--size", "-5"]) == 2
+    assert main(["anchors", "--size", "x"]) == 2
 
 
 def test_detect_size_accepts_largest_stride_and_up():
@@ -86,6 +89,26 @@ def test_eval_unknown_pred_id_fails(tmp_path, capsys):
     pred_path.write_text(json.dumps(pred))
     assert main(["eval", "--pred", str(pred_path), "--gt", str(gt_path)]) == 1
     assert "missing from ground truth" in capsys.readouterr().err
+
+
+def test_eval_non_finite_values_exit_1(tmp_path, capsys):
+    head = '{"images":[{"id":"im","width":10,"height":10,"objects":'
+    files = {
+        "gt": '[{"class":"face","box":[NaN,0,5,5]}]}]}',
+        "pred": '[{"class":"face","box":[0,0,5,5],"confidence":NaN}]}]}',
+        "clean_gt": '[{"class":"face","box":[0,0,5,5]}]}]}',
+        "clean_pred": '[{"class":"face","box":[0,0,5,5],"confidence":0.5}]}]}',
+    }
+    paths = {}
+    for name, tail in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(head + tail)
+    for pred, gt in (("pred", "gt"), ("clean_pred", "gt"), ("pred", "clean_gt")):
+        code = main(["eval", "--pred", str(paths[pred]), "--gt", str(paths[gt])])
+        assert code == 1
+        assert "image 'im': non-finite" in capsys.readouterr().err
+    assert main(["eval", "--pred", str(paths["clean_pred"]),
+                 "--gt", str(paths["clean_gt"])]) == 0
 
 
 def test_detect_missing_input_exits_1(tmp_path, capsys):

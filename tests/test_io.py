@@ -170,6 +170,16 @@ def test_ppm_wide_maxval_rejected(tmp_path):
         load_ppm(path)
 
 
+@pytest.mark.parametrize("extents", [b"0 5", b"5 0", b"-3 5", b"5 -3"])
+def test_ppm_non_positive_extent_rejected(tmp_path, extents):
+    path = tmp_path / "z.ppm"
+    path.write_bytes(b"P6\n" + extents + b"\n255\n" + bytes(75))
+    width, height = extents.decode().split()
+    with pytest.raises(ValueError, match=f"z.ppm.*width {width} and height "
+                                         f"{height}"):
+        load_ppm(path)
+
+
 def test_image_of_means_preprocesses_to_zero(tmp_path):
     # means are (104, 117, 123) in BGR, so the RGB pixel is (123, 117, 104)
     pixels = np.full((4, 4, 3), (123, 117, 104), dtype=np.uint8)
@@ -289,6 +299,18 @@ def test_annotations_duplicate_image_id(tmp_path):
 def test_detections_require_confidence(tmp_path):
     doc = ann_doc([{"class": "face", "box": [0, 0, 10, 10]}])
     with pytest.raises(AnnotationError, match="missing field 'confidence'"):
+        load_detections(write_json(tmp_path, doc))
+
+
+def test_non_finite_box_and_confidence_rejected(tmp_path):
+    # json writes and reads the NaN / Infinity / -Infinity literals
+    nan, inf = float("nan"), float("inf")
+    for box in ([nan, 0, 5, 5], [0, 0, inf, 5], [-inf, 0, 5, 5]):
+        doc = ann_doc([{"class": "face", "box": box}])
+        with pytest.raises(AnnotationError, match="img0.*non-finite box"):
+            load_annotations(write_json(tmp_path, doc))
+    doc = ann_doc([{"class": "mask", "box": [0, 0, 5, 5], "confidence": nan}])
+    with pytest.raises(AnnotationError, match="img0.*non-finite confidence"):
         load_detections(write_json(tmp_path, doc))
 
 

@@ -41,6 +41,10 @@ def test_conv_constant_input_all_ones_kernel():
     ((1, 4, 5, 5), (4, 1, 3, 3), (2, 2), (1, 1), 4),   # strided depthwise
     ((1, 4, 6, 6), (6, 2, 3, 3), (1, 1), (1, 1), 2),   # grouped, general
     ((1, 2, 7, 6), (5, 2, 2, 3), (3, 2), (2, 0), 1),
+    ((2, 4, 6, 6), (6, 2, 3, 3), (1, 1), (1, 1), 2),   # batch 2, grouped
+    ((2, 5, 7, 6), (5, 1, 3, 3), (2, 2), (1, 1), 5),   # batch 2, strided dw
+    ((1, 3, 5, 5), (6, 1, 3, 3), (2, 2), (1, 1), 3),   # dw, multiplier 2
+    ((1, 6, 4, 4), (9, 2, 1, 1), (1, 1), (0, 0), 3),   # grouped 1x1
 ])
 def test_conv_matches_naive_reference(shape, kshape, stride, padding, groups):
     x = rand(shape, seed=hash((shape, kshape)) % 2**32)
