@@ -56,7 +56,8 @@ def match_for_eval(detections, gt_labels, gt_boxes,
 
     ``detections`` is a list of objects with box/label/confidence;
     ``gt_labels`` and ``gt_boxes`` are aligned arrays of class labels and
-    corner-form boxes.
+    corner-form boxes.  Only detections with an IoU at or above the
+    threshold can claim, so only those rows of ``iou_matrix`` are visited.
     """
     gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
@@ -66,21 +67,17 @@ def match_for_eval(detections, gt_labels, gt_boxes,
                       key=lambda d: -d.confidence)
         gt_idx = np.flatnonzero(gt_labels == label)
         claimed = np.zeros(gt_idx.size, dtype=bool)
-        c = counts.for_label(label)
-        if gt_idx.size == 0:
-            c.fp = len(dets)
-            continue
-        overlaps = (iou_matrix(np.stack([d.box for d in dets]), gt_boxes[gt_idx])
-                    if dets else np.zeros((0, gt_idx.size)))
-        for di in range(len(dets)):
+        overlaps = iou_matrix(np.reshape([d.box for d in dets], (-1, 4)),
+                              gt_boxes[gt_idx])
+        for di in np.flatnonzero((overlaps >= iou_thresh).any(axis=1)).tolist():
             candidates = np.where(~claimed, overlaps[di], -1.0)
-            best = int(candidates.argmax()) if candidates.size else -1
-            if best >= 0 and candidates[best] >= iou_thresh:
+            best = int(candidates.argmax())
+            if candidates[best] >= iou_thresh:
                 claimed[best] = True
-                c.tp += 1
-            else:
-                c.fp += 1
-        c.fn = int((~claimed).sum())
+        c = counts.for_label(label)
+        c.tp = int(claimed.sum())
+        c.fp = len(dets) - c.tp
+        c.fn = gt_idx.size - c.tp
     return counts
 
 

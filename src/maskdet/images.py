@@ -38,16 +38,24 @@ def load_ppm(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated PPM header")
         return data[start:pos]
 
+    def next_int(field):
+        token = next_token()
+        try:
+            return int(token)
+        except ValueError:
+            raise ValueError(f"{path}: PPM {field} must be an integer, got "
+                             f"{token!r}") from None
+
     magic = next_token()
     if magic != b"P6":
         raise ValueError(f"{path}: unsupported format {magic!r}, expected "
                          f"binary PPM (P6)")
-    width = int(next_token())
-    height = int(next_token())
+    width = next_int("width")
+    height = next_int("height")
     if width < 1 or height < 1:
         raise ValueError(f"{path}: image extents must be positive, got "
                          f"width {width} and height {height}")
-    maxval = int(next_token())
+    maxval = next_int("maxval")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}, only 8-bit "
                          f"(255) PPM is accepted")
@@ -83,9 +91,9 @@ def preprocess(pixels: np.ndarray, target_size: int,
                means=DEFAULT_MEANS) -> np.ndarray:
     """RGB pixels -> (1, 3, s, s) float32 BGR tensor with means subtracted."""
     resized = resize_nearest(pixels, target_size, target_size)
-    bgr = resized[:, :, ::-1].astype(np.float32)
-    bgr -= np.asarray(means, dtype=np.float32)[None, None, :]
-    return np.ascontiguousarray(bgr.transpose(2, 0, 1))[None]
+    chw = resized.transpose(2, 0, 1)[::-1].astype(np.float32, order="C")
+    chw -= np.asarray(means, dtype=np.float32)[:, None, None]
+    return chw[None]
 
 
 def load_image(path, target_size: int, means=DEFAULT_MEANS) -> np.ndarray:

@@ -5,6 +5,8 @@ kernels in this module.  A "tensor" is a plain ``numpy.ndarray`` with four
 axes in (batch, channels, height, width) order, stored as 32-bit floats and
 row-major over those axes.  Kernels may accumulate in 64-bit internally but
 always return float32; given finite inputs they produce finite outputs.
+The row-wise softmax helpers work on logit arrays of any shape and return
+float64.
 
 Convolution here is cross-correlation (no kernel flip), padding is always
 zero-padding, and there is no autodiff: the network is inference-only.
@@ -185,6 +187,24 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out.astype(np.float32)
+
+
+def _max_shifted(logits: np.ndarray) -> np.ndarray:
+    """float64 logits minus their last-axis maximum, so exp cannot overflow."""
+    z = np.asarray(logits, dtype=np.float64)
+    return z - z.max(axis=-1, keepdims=True)
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, float64 result."""
+    e = np.exp(_max_shifted(logits))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log softmax over the last axis, float64 result."""
+    z = _max_shifted(logits)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:

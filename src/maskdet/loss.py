@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import log_softmax
+
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -38,13 +40,6 @@ def smooth_l1_grad(x):
     """Analytic derivative of smooth_l1: x inside the quadratic region, sign(x) outside."""
     x = np.asarray(x, dtype=np.float64)
     return np.where(np.abs(x) < 1.0, x, np.sign(x))
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log softmax with the max-shift for numerical stability."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def cross_entropy(logits, label: int) -> float:

@@ -89,6 +89,37 @@ def nms_reference(boxes, scores, thresh):
     return kept
 
 
+def match_eval_reference(detections, gt_labels, gt_boxes, thresh):
+    """Scalar-loop evaluation matching; returns {label: (tp, fp, fn)}.
+
+    Per label, detections are visited by descending confidence (ties in
+    list order); each claims the unclaimed ground truth with the highest IoU
+    at or above ``thresh`` (ties to the lower index) or is a false positive.
+    Every label that occurs in ``detections`` or ``gt_labels`` gets counts.
+    """
+    out = {}
+    for label in sorted({int(v) for v in gt_labels}
+                        | {d.label for d in detections}):
+        gts = [j for j in range(len(gt_labels)) if gt_labels[j] == label]
+        dets = [d for d in detections if d.label == label]
+        order = sorted(range(len(dets)),
+                       key=lambda i: (-dets[i].confidence, i))
+        claimed = set()
+        for i in order:
+            best_j, best_v = -1, 0.0
+            for j in gts:
+                if j in claimed:
+                    continue
+                v = iou_ref(dets[i].box, gt_boxes[j])
+                if v >= thresh and (best_j < 0 or v > best_v):
+                    best_j, best_v = j, v
+            if best_j >= 0:
+                claimed.add(best_j)
+        out[label] = (len(claimed), len(dets) - len(claimed),
+                      len(gts) - len(claimed))
+    return out
+
+
 def orcc_fixed_point(faces, masks, thresh):
     """Literal nested face/mask removal loops iterated to a fixed point.
 

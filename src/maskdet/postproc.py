@@ -20,6 +20,7 @@ import numpy as np
 # the benchmark's tracer counts calls to it through this namespace.
 from .anchors import (FACE, MASK, AnchorSet, decode, generate_anchors, iou,
                       iou_matrix)
+from .kernels import softmax_rows
 from .model import Model, Predictions, model_forward
 
 DEFAULT_CONF_THRESH = 0.5
@@ -28,6 +29,7 @@ DEFAULT_ORCC_IOU = 0.5
 
 # cap on the elements of one face-block x mask IoU slab in :func:`orcc`
 ORCC_SLAB_ELEMENTS = 1 << 20
+NMS_BLOCK_ROWS = 64    # ranked rows per IoU slab in :func:`nms`
 
 
 @dataclass(frozen=True)
@@ -37,13 +39,6 @@ class Detection:
     box: np.ndarray       # (4,) float64 [x_min, y_min, x_max, y_max]
     label: int            # FACE or MASK
     confidence: float
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def score_predictions(pred: Predictions, anchors: AnchorSet,
@@ -83,25 +78,27 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     original index); each kept box discards all remaining boxes overlapping
     it with IoU strictly above ``iou_thresh``.  Returns the kept (boxes,
     scores) in kept order.
+
+    Each block of ``NMS_BLOCK_ROWS`` ranked boxes gets one ``iou_matrix``
+    slab, its alive rows against the alive boxes from the block start on,
+    swept in rank order: an alive row is kept and kills its hits (``not iou
+    <= iou_thresh``, so a NaN overlap suppresses).  A row is one of its own
+    columns, so usually its own hit; it is revived after killing.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     order = np.argsort(-scores, kind="stable")
-    x1, y1, x2, y2 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-    areas = (x2 - x1) * (y2 - y1)
-    keep = []
-    while order.size > 0:
-        i = order[0]
-        keep.append(i)
-        rest = order[1:]
-        ix = np.clip(np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest]), 0, None)
-        iy = np.clip(np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest]), 0, None)
-        inter = ix * iy
-        union = areas[i] + areas[rest] - inter
-        overlap = np.zeros_like(inter)
-        np.divide(inter, union, out=overlap, where=union > 0)
-        order = rest[overlap <= iou_thresh]
-    keep = np.asarray(keep, dtype=np.int64)
+    ranked = boxes[order]
+    alive = np.ones(len(order), dtype=bool)
+    for start in range(0, len(order), NMS_BLOCK_ROWS):
+        rows = np.flatnonzero(alive[start:start + NMS_BLOCK_ROWS]) + start
+        cols = np.flatnonzero(alive[start:]) + start
+        over = ~(iou_matrix(ranked[rows], ranked[cols]) <= iou_thresh)
+        for i, hits in zip(rows.tolist(), over):
+            if alive[i]:
+                alive[cols[hits]] = False
+                alive[i] = True       # a row is its own hit
+    keep = order[alive]
     return boxes[keep], scores[keep]
 
 

@@ -145,10 +145,17 @@ def _suite_geometry():
 
 def _suite_nms():
     rng = np.random.default_rng(3)
-    for case in range(200):
+    cases = []
+    for _ in range(200):
         m = int(rng.integers(0, 40))
-        boxes = random_boxes(rng, m)
-        scores = rng.uniform(0, 1, m)
+        cases.append((random_boxes(rng, m), rng.uniform(0, 1, m)))
+    # one crowded case whose ranked boxes span several blocks, with ties
+    crng = np.random.default_rng(4)
+    dets = clustered_detections(crng, anc.FACE, 400,
+                                crng.uniform(0, 300, (30, 2)))
+    cases.append((np.stack([d.box for d in dets]),
+                  np.array([d.confidence for d in dets])))
+    for case, (boxes, scores) in enumerate(cases):
         kept_boxes, kept_scores = nms(boxes, scores, 0.4)
         ref = nms_reference(boxes, scores, 0.4)
         if not (np.array_equal(kept_boxes, boxes[ref])

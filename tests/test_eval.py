@@ -4,7 +4,9 @@ import pytest
 from maskdet.anchors import FACE, MASK
 from maskdet.evaluate import (ClassCounts, EvalCounts, match_for_eval,
                               precision_recall)
+from maskdet.oracles import match_eval_reference
 from maskdet.postproc import Detection
+from maskdet.selftest import clustered_detections
 
 
 def det(box, label, conf=0.9):
@@ -65,6 +67,25 @@ def test_detection_claims_highest_iou_gt():
     dets = [det([0, 0, 10, 10], FACE)]
     out = match_for_eval(dets, [FACE, FACE], gts)
     assert counts_tuple(out.face) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("thresh", [0.3, 0.5])
+def test_matching_equals_scalar_reference_on_crowded_scenes(seed, thresh):
+    # 120 detections on 60 ground truths around 10 centres: most detections
+    # have a hit, so claims collide; four confidence values make ties common
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0, 200, (10, 2))
+    gt_boxes = np.stack([g.box for g in
+                         clustered_detections(rng, FACE, 60, centres)])
+    gt_labels = rng.choice([FACE, MASK], 60)
+    dets = [det(d.box, int(label), d.confidence) for d, label in
+            zip(clustered_detections(rng, FACE, 120, centres),
+                rng.choice([FACE, MASK], 120))]
+    got = match_for_eval(dets, gt_labels, gt_boxes, thresh)
+    want = match_eval_reference(dets, gt_labels, gt_boxes, thresh)
+    assert counts_tuple(got.face) == want[FACE]
+    assert counts_tuple(got.mask) == want[MASK]
 
 
 def test_empty_everything():

@@ -180,6 +180,17 @@ def test_ppm_non_positive_extent_rejected(tmp_path, extents):
         load_ppm(path)
 
 
+@pytest.mark.parametrize("header, field", [(b"x 5\n255", "width"),
+                                           (b"5 x\n255", "height"),
+                                           (b"5 5\nx", "maxval")])
+def test_ppm_non_integer_header_field_names_file(tmp_path, header, field):
+    path = tmp_path / "n.ppm"
+    path.write_bytes(b"P6\n" + header + b"\n" + bytes(75))
+    with pytest.raises(ValueError, match=f"n.ppm: PPM {field} must be an "
+                                         f"integer, got b'x'"):
+        load_ppm(path)
+
+
 def test_image_of_means_preprocesses_to_zero(tmp_path):
     # means are (104, 117, 123) in BGR, so the RGB pixel is (123, 117, 104)
     pixels = np.full((4, 4, 3), (123, 117, 104), dtype=np.uint8)

@@ -150,6 +150,21 @@ def test_nms_invariant_to_input_order_with_distinct_scores():
     np.testing.assert_array_equal(kept_s, kept_s2)
 
 
+@pytest.mark.parametrize("thresh", [0.0, 0.4, 1.0])
+def test_nms_matches_quadratic_reference_across_blocks(thresh):
+    # 600 crowded boxes span ten blocks of ranked rows; four score values
+    # make ties common
+    rng = np.random.default_rng(20 + int(thresh * 10))
+    centres = rng.uniform(0, 300, (40, 2))
+    dets = clustered_detections(rng, FACE, 600, centres)
+    boxes = np.stack([d.box for d in dets])
+    scores = np.array([d.confidence for d in dets])
+    kept_b, kept_s = nms(boxes, scores, thresh)
+    ref = nms_reference(boxes, scores, thresh)
+    np.testing.assert_array_equal(kept_b, boxes[ref])
+    np.testing.assert_array_equal(kept_s, scores[ref])
+
+
 # -------------------------------------------------------------------- ORCC
 
 def test_orcc_hand_iou_case_removes_mask():
