@@ -114,17 +114,16 @@ def generate_anchors(config) -> AnchorSet:
 
 def iou(a, b) -> float:
     """Intersection over union of two corner-form boxes; 0 when the union is empty."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    return float(inter / union) if union > 0 else 0.0
+    return float(iou_matrix(np.reshape(a, (1, 4)), np.reshape(b, (1, 4)))[0, 0])
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two corner-form box arrays, shape (len_a, len_b)."""
+    """Pairwise IoU between two corner-form box arrays, shape (len_a, len_b).
+
+    Every value lies in [0, 1], never NaN: a pair whose union is not
+    positive (empty, inverted or non-finite boxes) gets 0.
+    """
     a = np.asarray(boxes_a, dtype=np.float64)
     b = np.asarray(boxes_b, dtype=np.float64)
     ix = np.clip(np.minimum(a[:, None, 2], b[None, :, 2])

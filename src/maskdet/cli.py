@@ -152,6 +152,10 @@ def _cmd_eval(args) -> int:
     totals = EvalCounts.zero()
     for gt in gts:
         pred = preds.get(gt.image_id)
+        if pred is not None and (pred.width, pred.height) != (gt.width, gt.height):
+            raise ValueError(f"image '{gt.image_id}': prediction is "
+                             f"{pred.width}x{pred.height} but ground truth is "
+                             f"{gt.width}x{gt.height}")
         dets = pred.objects if pred is not None else []
         totals = totals + match_for_eval(dets, gt.labels(), gt.boxes(),
                                          iou_thresh=args.iou)

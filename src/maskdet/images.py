@@ -65,6 +65,10 @@ def load_ppm(path) -> np.ndarray:
     if len(pixels) < expected:
         raise ValueError(f"{path}: truncated pixel data ({len(pixels)} of "
                          f"{expected} bytes)")
+    extra = len(data) - pos - expected
+    if extra > 0:
+        raise ValueError(f"{path}: {extra} bytes after the pixel data "
+                         f"(multi-image PPM is not supported)")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3).copy()
 
 

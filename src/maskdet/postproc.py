@@ -27,9 +27,7 @@ DEFAULT_CONF_THRESH = 0.5
 DEFAULT_NMS_IOU = 0.4
 DEFAULT_ORCC_IOU = 0.5
 
-# cap on the elements of one face-block x mask IoU slab in :func:`orcc`
-ORCC_SLAB_ELEMENTS = 1 << 20
-NMS_BLOCK_ROWS = 64    # ranked rows per IoU slab in :func:`nms`
+SWEEP_BLOCK_ROWS = 64    # rows per IoU slab in :func:`_alive_hits`
 
 
 @dataclass(frozen=True)
@@ -70,6 +68,23 @@ def filter_confidence(boxes: np.ndarray, scores: np.ndarray,
     return boxes[keep], scores[keep]
 
 
+def _alive_hits(a: np.ndarray, b: np.ndarray, a_alive: np.ndarray,
+                b_alive: np.ndarray, thresh: float):
+    """Yield ``(i, hit columns)`` for each row of ``a`` alive when reached.
+
+    One slab ``iou_matrix(alive rows, columns of b alive at the block start)
+    > thresh`` per block of ``SWEEP_BLOCK_ROWS`` rows; hits are in column
+    order and may name columns the caller cleared since the block start.
+    """
+    for start in range(0, len(a), SWEEP_BLOCK_ROWS):
+        rows = np.flatnonzero(a_alive[start:start + SWEEP_BLOCK_ROWS]) + start
+        cols = np.flatnonzero(b_alive)
+        over = iou_matrix(a[rows], b[cols]) > thresh
+        for i, hits in zip(rows.tolist(), over):
+            if a_alive[i]:
+                yield i, cols[hits]
+
+
 def nms(boxes: np.ndarray, scores: np.ndarray,
         iou_thresh: float = DEFAULT_NMS_IOU):
     """Greedy non-maximum suppression over one class.
@@ -79,26 +94,21 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     it with IoU strictly above ``iou_thresh``.  Returns the kept (boxes,
     scores) in kept order.
 
-    Each block of ``NMS_BLOCK_ROWS`` ranked boxes gets one ``iou_matrix``
-    slab, its alive rows against the alive boxes from the block start on,
-    swept in rank order: an alive row is kept and kills its hits (``not iou
-    <= iou_thresh``, so a NaN overlap suppresses).  A row is one of its own
-    columns, so usually its own hit; it is revived after killing.
+    The ranked boxes are swept against themselves by :func:`_alive_hits`:
+    a box still open when reached is kept and closes itself and its hits,
+    so decided boxes drop out of later blocks' columns.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     order = np.argsort(-scores, kind="stable")
     ranked = boxes[order]
-    alive = np.ones(len(order), dtype=bool)
-    for start in range(0, len(order), NMS_BLOCK_ROWS):
-        rows = np.flatnonzero(alive[start:start + NMS_BLOCK_ROWS]) + start
-        cols = np.flatnonzero(alive[start:]) + start
-        over = ~(iou_matrix(ranked[rows], ranked[cols]) <= iou_thresh)
-        for i, hits in zip(rows.tolist(), over):
-            if alive[i]:
-                alive[cols[hits]] = False
-                alive[i] = True       # a row is its own hit
-    keep = order[alive]
+    open_ = np.ones(len(order), dtype=bool)
+    kept = np.zeros(len(order), dtype=bool)
+    for i, hits in _alive_hits(ranked, ranked, open_, open_, iou_thresh):
+        open_[hits] = False
+        open_[i] = False
+        kept[i] = True
+    keep = order[kept]
     return boxes[keep], scores[keep]
 
 
@@ -113,34 +123,25 @@ def orcc(faces: list[Detection], masks: list[Detection],
     remaining mask comparisons are skipped.  Survivors keep their input
     order.
 
-    Only pairs above ``thresh`` can remove anything, so the faces are taken
-    in row blocks and each block gets one boolean slab
-    ``iou_matrix(face block, all masks) > thresh``; the sweep then visits
-    just the hits of each face row, in mask order.  A block holds at most
-    ``ORCC_SLAB_ELEMENTS`` pairs (one face row when there are more masks),
-    so memory does not grow with the face count.  ``iou_matrix`` computes
-    every IoU with the same float64 operations in the same order as
-    :func:`~maskdet.anchors.iou`, so for finite boxes each comparison with
-    ``thresh``, and hence every survivor, is the same as a pairwise sweep.
+    The faces are swept against the masks by :func:`_alive_hits`: a face's
+    alive hit masks are removed up to the first one it does not beat, which
+    removes the face.  ``iou_matrix`` uses the pairwise formula's float64
+    operations in its order, so every survivor matches a pairwise sweep.
     """
-    face_alive = [True] * len(faces)
-    mask_alive = [True] * len(masks)
-    if faces and masks:
-        face_boxes = np.stack([f.box for f in faces])
-        mask_boxes = np.stack([m.box for m in masks])
-        rows = max(1, ORCC_SLAB_ELEMENTS // len(masks))
-        for start in range(0, len(faces), rows):
-            over = iou_matrix(face_boxes[start:start + rows], mask_boxes) > thresh
-            for fi, hits in enumerate(over, start):
-                face = faces[fi]
-                for mi in np.flatnonzero(hits).tolist():
-                    if not mask_alive[mi]:
-                        continue
-                    if face.confidence >= masks[mi].confidence:
-                        mask_alive[mi] = False
-                    else:
-                        face_alive[fi] = False
-                        break
+    face_alive = np.ones(len(faces), dtype=bool)
+    mask_alive = np.ones(len(masks), dtype=bool)
+    face_boxes = np.reshape([f.box for f in faces], (-1, 4))
+    mask_boxes = np.reshape([m.box for m in masks], (-1, 4))
+    face_conf = np.array([f.confidence for f in faces], dtype=np.float64)
+    mask_conf = np.array([m.confidence for m in masks], dtype=np.float64)
+    for fi, hits in _alive_hits(face_boxes, mask_boxes, face_alive,
+                                mask_alive, thresh):
+        live = hits[mask_alive[hits]]
+        lost = np.flatnonzero(~(face_conf[fi] >= mask_conf[live]))
+        if lost.size:
+            live = live[:lost[0]]
+            face_alive[fi] = False
+        mask_alive[live] = False
     return ([f for f, ok in zip(faces, face_alive) if ok],
             [m for m, ok in zip(masks, mask_alive) if ok])
 

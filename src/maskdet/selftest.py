@@ -23,7 +23,7 @@ from .evaluate import ClassCounts, EvalCounts, precision_recall
 from .kernels import ConvParams, conv2d, pool2d, upsample_nearest
 from .model import ModelConfig
 from .oracles import naive_conv2d, naive_pool2d, nms_reference, orcc_fixed_point
-from .postproc import ORCC_SLAB_ELEMENTS, Detection, nms, orcc
+from .postproc import Detection, nms, orcc
 from .weights_io import WeightsFormatError, load_weights, save_weights
 
 
@@ -174,10 +174,9 @@ def _suite_orcc():
     cases = [(random_detections(rng, anc.FACE, int(rng.integers(0, 8))),
               random_detections(rng, anc.MASK, int(rng.integers(0, 8))))
              for _ in range(200)]
-    # one crowded case whose faces span two IoU slabs
+    # one crowded case whose faces span many blocks, with ties
     centres = rng.uniform(0, 400, (40, 2))
-    cases.append((clustered_detections(rng, anc.FACE, ORCC_SLAB_ELEMENTS // 1000
-                                       + 100, centres),
+    cases.append((clustered_detections(rng, anc.FACE, 1148, centres),
                   clustered_detections(rng, anc.MASK, 1000, centres)))
     for case, (faces_in, masks_in) in enumerate(cases):
         got = orcc(faces_in, masks_in, 0.4)

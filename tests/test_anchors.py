@@ -86,7 +86,7 @@ def test_iou_symmetric_bounded_and_matches_reference(a, b):
 
 
 def test_iou_matrix_matches_scalar():
-    """Bit-equal to the scalar IoU, which ORCC's exactness relies on."""
+    """Bit-equal to the scalar oracle IoU, which ORCC's exactness relies on."""
     rng = np.random.default_rng(1)
     xy = rng.uniform(0, 50, (40, 2))
     real = np.concatenate([xy, xy + rng.uniform(1, 30, (40, 2))], axis=1)
@@ -100,9 +100,26 @@ def test_iou_matrix_matches_scalar():
     boxes = np.concatenate([real, grid, right, below, edges, real[:5]])
     mat = iou_matrix(boxes, boxes)
     mismatches = [(i, j) for i in range(len(boxes)) for j in range(len(boxes))
-                  if mat[i, j] != iou(boxes[i], boxes[j])]
+                  if mat[i, j] != iou_ref(boxes[i], boxes[j])]
     assert mismatches == []
     assert mat[:5, -5:].diagonal().tolist() == [1.0] * 5
+    assert iou(boxes[3], boxes[7]) == mat[3, 7]
+
+
+def test_iou_matrix_bounded_and_never_nan_on_bad_boxes():
+    """NMS tests ``iou > thresh``, which is only safe if no IoU is NaN."""
+    inf, nan = np.inf, np.nan
+    boxes = np.array([[0, 0, 10, 10], [2, 2, 12, 12], [nan, 0, 10, 10],
+                      [0, 0, nan, nan], [0, 0, inf, 10], [-inf, -inf, inf, inf],
+                      [inf, 0, inf, 10], [10, 0, 0, 10], [10, 10, 0, 0],
+                      [5, 5, 5, 5], [0, 0, 10, 0], [-1e300, -1e300, 1e300, 1e300],
+                      [0, 0, 1e300, 1e300]])
+    mat = iou_matrix(boxes, boxes)
+    assert not np.isnan(mat).any()
+    assert ((mat >= 0) & (mat <= 1)).all()
+    assert mat[0, 1] == pytest.approx(64 / 136)
+    assert (mat[2:4] == 0).all() and (mat[:, 2:4] == 0).all()
+    assert (mat[7:11] == 0).all()
 
 
 # --------------------------------------------------------- encode / decode

@@ -1,11 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maskdet.cli import build_parser, main
 from maskdet.images import save_ppm
-from maskdet.weights_io import load_weights
+from maskdet.model import ModelConfig, init_reference_weights
+from maskdet.weights_io import load_weights, save_weights
 
 
 @pytest.fixture()
@@ -89,6 +94,19 @@ def test_eval_unknown_pred_id_fails(tmp_path, capsys):
     pred_path.write_text(json.dumps(pred))
     assert main(["eval", "--pred", str(pred_path), "--gt", str(gt_path)]) == 1
     assert "missing from ground truth" in capsys.readouterr().err
+
+
+def test_eval_size_mismatch_exits_1(tmp_path, capsys):
+    gt = {"images": [{"id": "im", "width": 10, "height": 10, "objects": []}]}
+    pred = {"images": [{"id": "im", "width": 20, "height": 10, "objects": []}]}
+    gt_path = tmp_path / "gt.json"
+    gt_path.write_text(json.dumps(gt))
+    pred_path = tmp_path / "pred.json"
+    pred_path.write_text(json.dumps(pred))
+    assert main(["eval", "--pred", str(pred_path), "--gt", str(gt_path)]) == 1
+    captured = capsys.readouterr()
+    assert "image 'im': prediction is 20x10 but ground truth is 10x10" in captured.err
+    assert captured.out == ""
 
 
 def test_eval_non_finite_values_exit_1(tmp_path, capsys):
@@ -176,6 +194,32 @@ def test_detect_output_loads_in_eval(tmp_path, capsys):
     gt.write_text(json.dumps({"images": [{"id": "scene", "width": 640,
                                           "height": 480, "objects": []}]}))
     assert main(["eval", "--pred", str(dets), "--gt", str(gt)]) == 0
+
+
+threshold = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=15, deadline=None)
+@example(seed=7, size=33, height=48, width=64, tc=0.0, nms=1.0, orcc=0.0)
+@given(seed=st.integers(0, 2**16), size=st.integers(32, 100),
+       height=st.integers(1, 80), width=st.integers(1, 80),
+       tc=threshold, nms=threshold, orcc=threshold)
+def test_every_detect_output_loads_in_eval(seed, size, height, width, tc,
+                                           nms, orcc):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_weights(init_reference_weights(ModelConfig(), seed), tmp / "w.rfmw")
+        rng = np.random.default_rng(seed)
+        save_ppm(tmp / "im.ppm",
+                 rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
+        assert main(["detect", "--weights", str(tmp / "w.rfmw"),
+                     "--input", str(tmp / "im.ppm"), "--out", str(tmp / "d.json"),
+                     "--size", str(size), "--tc", repr(tc), "--nms", repr(nms),
+                     "--orcc", repr(orcc)]) == 0
+        (tmp / "gt.json").write_text(json.dumps({"images": [
+            {"id": "im", "width": width, "height": height, "objects": []}]}))
+        assert main(["eval", "--pred", str(tmp / "d.json"),
+                     "--gt", str(tmp / "gt.json")]) == 0
 
 
 def test_detect_directory_mode(tmp_path, capsys):

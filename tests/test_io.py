@@ -163,6 +163,13 @@ def test_ppm_truncated_pixels(tmp_path):
         load_ppm(path)
 
 
+def test_ppm_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "two.ppm"
+    path.write_bytes(b"P6\n2 2\n255\n" + bytes(12) + b"P6\n2 2\n255\n" + bytes(12))
+    with pytest.raises(ValueError, match="two.ppm: 23 bytes after the pixel data"):
+        load_ppm(path)
+
+
 def test_ppm_wide_maxval_rejected(tmp_path):
     path = tmp_path / "m.ppm"
     path.write_bytes(b"P6\n1 1\n65535\n" + bytes(6))

@@ -3,9 +3,9 @@ import pytest
 
 from maskdet.anchors import FACE, MASK, encode, generate_anchors, iou
 from maskdet.model import Predictions, model_forward
-from maskdet.postproc import (ORCC_SLAB_ELEMENTS, Detection, detect,
-                              filter_confidence, nms, orcc, postprocess,
-                              score_predictions, softmax_rows)
+from maskdet.postproc import (Detection, detect, filter_confidence, nms,
+                              orcc, postprocess, score_predictions,
+                              softmax_rows)
 from maskdet.oracles import nms_reference, orcc_fixed_point
 from maskdet.selftest import (clustered_detections, random_boxes,
                               random_detections)
@@ -214,8 +214,7 @@ def test_orcc_matches_fixed_point_oracle_across_slabs(thresh):
     rng = np.random.default_rng(int(thresh * 10))
     centres = rng.uniform(0, 400, (40, 2))
     masks = clustered_detections(rng, MASK, 1000, centres)
-    rows = ORCC_SLAB_ELEMENTS // len(masks)
-    faces = clustered_detections(rng, FACE, rows + 100, centres)
+    faces = clustered_detections(rng, FACE, 1148, centres)
     got_f, got_m = orcc(faces, masks, thresh)
     want_f, want_m = orcc_fixed_point(faces, masks, thresh)
     assert [id(d) for d in got_f] == [id(d) for d in want_f]
