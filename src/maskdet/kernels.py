@@ -57,6 +57,9 @@ class ConvParams:
         if self.kernel.ndim != 4:
             raise ValueError(f"kernel must be 4-D (out_c, in_c/groups, kh, kw), "
                              f"got shape {self.kernel.shape}")
+        if 0 in self.kernel.shape:
+            raise ValueError(f"kernel extents must be positive, got shape "
+                             f"{self.kernel.shape}")
         self.stride = _as_pair(self.stride, "stride")
         self.padding = _as_pair(self.padding, "padding")
         if self.stride[0] < 1 or self.stride[1] < 1:
@@ -79,11 +82,12 @@ def conv_output_extent(extent: int, kernel: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - kernel) // stride + 1
 
 
-def _pad2d(x: np.ndarray, pad_h: int, pad_w: int, dtype) -> np.ndarray:
+def _pad2d(x: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
+    """Zero-padded copy of ``x`` in its own dtype; ``x`` itself when unpadded."""
     n, c, h, w = x.shape
     if pad_h == 0 and pad_w == 0:
-        return np.ascontiguousarray(x, dtype=dtype)
-    out = np.zeros((n, c, h + 2 * pad_h, w + 2 * pad_w), dtype=dtype)
+        return x
+    out = np.zeros((n, c, h + 2 * pad_h, w + 2 * pad_w), dtype=x.dtype)
     out[:, :, pad_h:pad_h + h, pad_w:pad_w + w] = x
     return out
 
@@ -98,10 +102,12 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """2-D cross-correlation of an NCHW tensor with a weight kernel.
 
     Output extents follow h' = floor((h + 2*pad - kh) / stride) + 1 and must
-    be at least 1.  Every group count takes the same lowering: the padded
-    input is unrolled into per-group im2col columns and multiplied by the
-    per-group kernel matrices in one batched matmul.  Accumulation happens
-    in float64; the result is float32.
+    be at least 1.  Every group count takes the same lowering: the input is
+    zero-padded in its own dtype (an unpadded input is not copied), its
+    window view is written once, cast to float64, into per-group im2col
+    columns, and the columns are multiplied by the per-group kernel
+    matrices in one batched matmul.  The bias is added in place.
+    Accumulation happens in float64; the result is a fresh float32 array.
     """
     _require_nchw(x)
     n, c, h, w = x.shape
@@ -124,15 +130,16 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
 
     # (g, og, cg*kh*kw) kernels times (n, g, cg*kh*kw, h'*w') im2col columns
     cg, og = c // g, out_c // g
-    win = _windows(_pad2d(x, ph, pw, np.float64), kh, kw, sh, sw)
-    cols = (win.reshape(n, g, cg, out_h, out_w, kh, kw)
-            .transpose(0, 1, 2, 5, 6, 3, 4)
-            .reshape(n, g, cg * kh * kw, out_h * out_w))
+    win = _windows(_pad2d(x, ph, pw), kh, kw, sh, sw)
+    cols = np.empty((n, g, cg, kh, kw, out_h, out_w), dtype=np.float64)
+    cols[...] = (win.reshape(n, g, cg, out_h, out_w, kh, kw)
+                 .transpose(0, 1, 2, 5, 6, 3, 4))
+    cols = cols.reshape(n, g, cg * kh * kw, out_h * out_w)
     kernel = params.kernel.astype(np.float64).reshape(g, og, cg * kh * kw)
     out = np.matmul(kernel, cols).reshape(n, out_c, out_h, out_w)
 
     if params.bias is not None:
-        out = out + params.bias.astype(np.float64)[None, :, None, None]
+        out += params.bias.astype(np.float64)[None, :, None, None]
     return out.astype(np.float32)
 
 
@@ -143,6 +150,10 @@ def pool2d(x: Tensor, mode: str, window, stride) -> Tensor:
         raise ValueError(f"pool mode must be 'max' or 'avg', got {mode!r}")
     wh, ww = _as_pair(window, "window")
     sh, sw = _as_pair(stride, "stride")
+    if wh < 1 or ww < 1:
+        raise ValueError(f"pool window must be positive, got {(wh, ww)}")
+    if sh < 1 or sw < 1:
+        raise ValueError(f"pool stride must be positive, got {(sh, sw)}")
     n, c, h, w = x.shape
     if wh > h or ww > w:
         raise ValueError(f"pool window {wh}x{ww} larger than input {h}x{w}")
@@ -172,7 +183,7 @@ def global_pool(x: Tensor, mode: str) -> Tensor:
 def activate(x: Tensor, kind: str) -> Tensor:
     """Elementwise relu or sigmoid; shape preserved."""
     if kind == "relu":
-        return np.maximum(x, 0).astype(np.float32)
+        return np.maximum(x, 0).astype(np.float32, copy=False)
     if kind == "sigmoid":
         return sigmoid(x)
     raise ValueError(f"activation kind must be 'relu' or 'sigmoid', got {kind!r}")
@@ -238,7 +249,7 @@ def concat_channels(inputs) -> Tensor:
         if (t.shape[0], t.shape[2], t.shape[3]) != (first.shape[0], first.shape[2], first.shape[3]):
             raise ValueError(f"concat_channels spatial mismatch: input 0 has "
                              f"shape {first.shape}, input {i} has {t.shape}")
-    return np.concatenate(inputs, axis=1).astype(np.float32)
+    return np.concatenate(inputs, axis=1, dtype=np.float32)
 
 
 def linear(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -136,6 +136,14 @@ class Model:
                           self.weights[f"{name}.bias"],
                           stride=stride, padding=padding, groups=groups)
 
+    def fused_conv_params(self, names, padding=0) -> ConvParams:
+        """One conv over the same input whose output channels are those of
+        ``names`` in order, concatenated from the stored tensors."""
+        w = self.weights
+        return ConvParams(np.concatenate([w[f"{n}.weight"] for n in names]),
+                          np.concatenate([w[f"{n}.bias"] for n in names]),
+                          padding=padding)
+
 
 @dataclass(frozen=True)
 class Predictions:
@@ -248,16 +256,19 @@ def context_attention_forward(model: Model, feature: Tensor, level: int) -> Tens
 
     Three parallel branches of one/two/three 3x3 convolutions (ReLU between
     stacked convolutions) concatenate back to the input width in branch
-    order C/2, C/4, C/4, then pass channel and spatial attention.
+    order C/2, C/4, C/4, then pass channel and spatial attention.  The
+    branches' first convolutions all read ``feature``, so they run as one
+    fused convolution whose output is split by channel.
     """
     h = f"head{level}"
-    b1 = conv2d(feature, model.conv_params(f"{h}.ctx.b1.conv1", padding=1))
+    c = feature.shape[1]
+    first = conv2d(feature, model.fused_conv_params(
+        [f"{h}.ctx.b{i}.conv1" for i in (1, 2, 3)], padding=1))
+    b1, b2, b3 = np.split(first, [c // 2, 3 * c // 4], axis=1)
 
-    b2 = conv2d(feature, model.conv_params(f"{h}.ctx.b2.conv1", padding=1))
     b2 = activate(b2, "relu")
     b2 = conv2d(b2, model.conv_params(f"{h}.ctx.b2.conv2", padding=1))
 
-    b3 = conv2d(feature, model.conv_params(f"{h}.ctx.b3.conv1", padding=1))
     b3 = activate(b3, "relu")
     b3 = conv2d(b3, model.conv_params(f"{h}.ctx.b3.conv2", padding=1))
     b3 = activate(b3, "relu")
@@ -286,17 +297,22 @@ def flatten_head_map(head_map: Tensor, anchors_per_cell: int) -> np.ndarray:
 
 
 def model_forward(model: Model, image: Tensor) -> Predictions:
-    """Full forward pass: backbone, FPN, per-level heads, canonical flattening."""
-    cfg = model.config
+    """Full forward pass: backbone, FPN, per-level heads, canonical flattening.
+
+    Each level's loc and cls 1x1 convolutions run as one fused convolution
+    whose output is split by channel at 4*A.
+    """
+    a = model.config.anchors_per_cell
     taps = backbone_forward(model, image)
     pyramid = fpn_forward(model, taps)
     loc_rows, cls_rows = [], []
     for lvl, feat in enumerate(pyramid):
         refined = context_attention_forward(model, feat, lvl)
-        loc_map = conv2d(refined, model.conv_params(f"head{lvl}.loc"))
-        cls_map = conv2d(refined, model.conv_params(f"head{lvl}.cls"))
-        loc_rows.append(flatten_head_map(loc_map, cfg.anchors_per_cell))
-        cls_rows.append(flatten_head_map(cls_map, cfg.anchors_per_cell))
+        head_map = conv2d(refined, model.fused_conv_params(
+            [f"head{lvl}.loc", f"head{lvl}.cls"]))
+        loc_map, cls_map = np.split(head_map, [4 * a], axis=1)
+        loc_rows.append(flatten_head_map(loc_map, a))
+        cls_rows.append(flatten_head_map(cls_map, a))
     return Predictions(np.concatenate(loc_rows, axis=0),
                        np.concatenate(cls_rows, axis=0))
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,14 @@ def test_conv_kernel_does_not_fit():
         conv2d(x, ConvParams(rand((1, 1, 3, 3))))
 
 
+@pytest.mark.parametrize("kshape", [(0, 2, 3, 3), (2, 0, 3, 3),
+                                    (2, 2, 0, 3), (2, 2, 3, 0)])
+def test_conv_params_reject_zero_kernel_extent(kshape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"kernel extents must be positive, got shape {kshape}")):
+        ConvParams(np.zeros(kshape, dtype=np.float32))
+
+
 @pytest.mark.parametrize("extent,kernel,stride,pad", [
     (h, k, s, p) for h in (4, 7, 9) for k in (1, 2, 3) for s in (1, 2, 3)
     for p in (0, 1, 2)
@@ -150,6 +160,19 @@ def test_pool_constant_input_both_modes():
 def test_pool_window_larger_than_input():
     with pytest.raises(ValueError, match="larger than input"):
         pool2d(rand((1, 1, 2, 2)), "max", (3, 3), (1, 1))
+
+
+@pytest.mark.parametrize("window,stride,name,value", [
+    (2, -1, "stride", (-1, -1)),
+    (2, 0, "stride", (0, 0)),
+    (2, (1, -2), "stride", (1, -2)),
+    (0, 1, "window", (0, 0)),
+    ((2, 0), 1, "window", (2, 0)),
+])
+def test_pool_rejects_non_positive_window_and_stride(window, stride, name, value):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{name} must be positive, got {value}")):
+        pool2d(rand((1, 1, 4, 4)), "avg", window, stride)
 
 
 def test_pool_bad_mode():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maskdet.anchors import generate_anchors
-from maskdet.kernels import activate, concat_channels, conv2d
+from maskdet.kernels import ConvParams, activate, concat_channels, conv2d
 from maskdet.model import (BACKBONE_STAGES, Model, ModelConfig, Predictions,
                            backbone_forward, build_model, channel_attention,
                            context_attention_forward, flatten_head_map,
@@ -303,6 +303,71 @@ def test_model_forward_row_count_and_determinism(tiny_model):
     again = model_forward(tiny_model, image)
     np.testing.assert_array_equal(pred.loc, again.loc)
     np.testing.assert_array_equal(pred.cls, again.cls)
+
+
+def unfused_forward(model, image):
+    """model_forward composed from one conv per stored tensor, no fusion."""
+    a = model.config.anchors_per_cell
+    w = model.weights
+
+    def cv(name, x, padding=0):
+        return conv2d(x, model.conv_params(name, padding=padding))
+
+    loc_rows, cls_rows = [], []
+    for lvl, feat in enumerate(fpn_forward(model, backbone_forward(model, image))):
+        h = f"head{lvl}.ctx"
+        b1 = cv(f"{h}.b1.conv1", feat, 1)
+        b2 = cv(f"{h}.b2.conv2", activate(cv(f"{h}.b2.conv1", feat, 1), "relu"), 1)
+        b3 = cv(f"{h}.b3.conv2", activate(cv(f"{h}.b3.conv1", feat, 1), "relu"), 1)
+        b3 = cv(f"{h}.b3.conv3", activate(b3, "relu"), 1)
+        att = f"head{lvl}.att"
+        refined = channel_attention(concat_channels([b1, b2, b3]),
+                                    w[f"{att}.mlp.fc1.weight"], w[f"{att}.mlp.fc1.bias"],
+                                    w[f"{att}.mlp.fc2.weight"], w[f"{att}.mlp.fc2.bias"])
+        refined = spatial_attention(refined, w[f"{att}.spatial.weight"],
+                                    w[f"{att}.spatial.bias"])
+        loc_rows.append(flatten_head_map(cv(f"head{lvl}.loc", refined), a))
+        cls_rows.append(flatten_head_map(cv(f"head{lvl}.cls", refined), a))
+    return np.concatenate(loc_rows), np.concatenate(cls_rows)
+
+
+@pytest.mark.parametrize("size", [32, 64])
+def test_model_forward_equals_unfused_composition(size, tiny_store):
+    config = ModelConfig(input_size=size, fpn_channels=8, cbam_reduction=4)
+    model = build_model(config, tiny_store)
+    image = np.random.default_rng(size).standard_normal(
+        (1, 3, size, size)).astype(np.float32) * 50
+    pred = model_forward(model, image)
+    loc, cls = unfused_forward(model, image)
+    assert pred.loc.shape == loc.shape and pred.cls.shape == cls.shape
+    np.testing.assert_allclose(pred.loc, loc, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(pred.cls, cls, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("shape,kshape,padding,groups,view", [
+    ((1, 4, 5, 5), (3, 4, 1, 1), 0, 1, False),   # 1x1 unpadded: used as is
+    ((1, 8, 5, 5), (3, 4, 1, 1), 0, 1, True),    # ... on a strided view
+    ((2, 4, 5, 6), (3, 4, 3, 3), 1, 1, False),   # padded
+    ((1, 4, 5, 5), (4, 1, 3, 3), 1, 4, False),   # depthwise
+    ((1, 4, 6, 6), (6, 2, 3, 3), 1, 2, False),   # grouped
+])
+def test_conv2d_leaves_input_and_returns_fresh_float32(shape, kshape, padding,
+                                                        groups, view):
+    r = np.random.default_rng(7)
+    x = r.standard_normal(shape).astype(np.float32)
+    if view:
+        x = x[:, ::2]
+    before = x.copy()
+    params = ConvParams(r.standard_normal(kshape).astype(np.float32),
+                        r.standard_normal(kshape[0]).astype(np.float32),
+                        padding=padding, groups=groups)
+    out = conv2d(x, params)
+    np.testing.assert_array_equal(x, before)
+    assert out.dtype == np.float32
+    assert out.flags.c_contiguous and out.flags.owndata
+    assert not np.shares_memory(out, x)
+    out[...] = 0
+    np.testing.assert_array_equal(x, before)
 
 
 def test_flatten_head_map_canonical_order():
