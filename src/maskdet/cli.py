@@ -132,9 +132,9 @@ def _cmd_detect(args) -> int:
                           nms_iou=args.nms, orcc_iou=args.orcc)
         scale = np.array([width / config.input_size,
                           height / config.input_size] * 2)
-        objects = [AnnotatedObject(d.label, d.box * scale, d.confidence)
-                   for d in dets]
-        objects = [o for o in objects if loads_back(o.box, width, height)]
+        boxes = np.reshape([d.box for d in dets], (-1, 4)) * scale
+        objects = [AnnotatedObject(d.label, box, d.confidence) for d, box, ok
+                   in zip(dets, boxes, loads_back(boxes, width, height)) if ok]
         records.append(ImageRecord(path.stem, width, height, objects))
     save_detections(records, args.out)
     return 0

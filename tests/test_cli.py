@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -129,6 +132,21 @@ def test_eval_non_finite_values_exit_1(tmp_path, capsys):
                  "--gt", str(paths["clean_gt"])]) == 0
 
 
+def test_eval_rejects_non_integer_extent(tmp_path, capsys):
+    gt = {"images": [{"id": "im", "width": 12.7, "height": 10,
+                      "objects": [{"class": "face", "box": [0, 0, 12.5, 5]}]}]}
+    pred = {"images": [{"id": "im", "width": 12, "height": 10, "objects": []}]}
+    gt_path = tmp_path / "gt.json"
+    gt_path.write_text(json.dumps(gt))
+    pred_path = tmp_path / "pred.json"
+    pred_path.write_text(json.dumps(pred))
+    assert main(["eval", "--pred", str(pred_path), "--gt", str(gt_path)]) == 1
+    captured = capsys.readouterr()
+    assert "image 'im': 'width' must be an integer of at least 1, got 12.7" \
+        in captured.err
+    assert captured.out == ""
+
+
 def test_detect_missing_input_exits_1(tmp_path, capsys):
     weights = tmp_path / "w.rfmw"
     assert main(["init-weights", "--out", str(weights), "--seed", "1"]) == 0
@@ -220,6 +238,31 @@ def test_every_detect_output_loads_in_eval(seed, size, height, width, tc,
             {"id": "im", "width": width, "height": height, "objects": []}]}))
         assert main(["eval", "--pred", str(tmp / "d.json"),
                      "--gt", str(tmp / "gt.json")]) == 0
+
+
+def test_detect_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The same 640 input gives the same file with one BLAS thread and with
+    the library's default thread count."""
+    save_weights(init_reference_weights(ModelConfig(), 7), tmp_path / "w.rfmw")
+    rng = np.random.default_rng(5)
+    save_ppm(tmp_path / "im.ppm",
+             rng.integers(0, 256, (640, 640, 3), dtype=np.uint8))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k not in
+               ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"d-{threads}.json"
+        subprocess.run([sys.executable, "-m", "maskdet.cli", "detect",
+                        "--weights", str(tmp_path / "w.rfmw"),
+                        "--input", str(tmp_path / "im.ppm"), "--out", str(out)],
+                       env=env, check=True, timeout=120)
+        outputs.append(out.read_bytes())
+    assert json.loads(outputs[0])["images"][0]["objects"]
+    assert outputs[0] == outputs[1]
 
 
 def test_detect_directory_mode(tmp_path, capsys):

@@ -277,9 +277,12 @@ def test_annotations_missing_field_names_image(tmp_path):
 
 
 def test_annotations_box_clipped_to_extents(tmp_path):
-    doc = ann_doc([{"class": "face", "box": [-5, -5, 120, 90]}])
+    doc = ann_doc([{"class": "face", "box": [-5, -5, 120, 90]},
+                   {"class": "mask", "box": [5, 1, 150, 40]}])
     rec = load_annotations(write_json(tmp_path, doc))[0]
-    np.testing.assert_array_equal(rec.boxes()[0], [0, 0, 100, 80])
+    assert rec.boxes().dtype == np.float64
+    np.testing.assert_array_equal(rec.boxes(), [[0, 0, 100, 80], [5, 1, 100, 40]])
+    assert ImageRecord("e", 1, 1, []).boxes().shape == (0, 4)
 
 
 def test_annotations_fully_outside_box_rejected(tmp_path):
@@ -294,18 +297,70 @@ def test_annotations_fully_outside_box_rejected(tmp_path):
     ([10, 20, 30, 20 + 2e-7], False),       # rounds to a zero-height box
     ([100, 0, 120, 10], False),             # outside the 100 px width
     ([-5, 70, 10, 80 + 1e-3], True),        # clipped, still positive
+    ([float("nan"), 0, 5, 5], False),
+    ([0, 0, float("inf"), 5], False),       # would clip to a finite box
+    ([0, 0, 5, float("nan")], False),
 ])
 def test_loads_back_agrees_with_loader(tmp_path, box, ok):
-    box = np.array(box, dtype=np.float64)
-    assert loads_back(box, 100, 80) is ok
-    path = tmp_path / "d.json"
-    save_detections([ImageRecord("img0", 100, 80,
-                                 [AnnotatedObject(FACE, box, 0.5)])], path)
+    boxes = np.array([box], dtype=np.float64)
+    mask = loads_back(boxes, 100, 80)
+    assert mask.shape == (1,) and mask.dtype == bool and mask[0] == ok
+    if np.isfinite(boxes).all():
+        path = tmp_path / "d.json"
+        save_detections([ImageRecord("img0", 100, 80, [
+            AnnotatedObject(FACE, boxes[0], 0.5)])], path)
+    else:   # the writer refuses these, so write them as json does
+        path = write_json(tmp_path, ann_doc([
+            {"class": "face", "box": box, "confidence": 0.5}]))
     if ok:
         assert len(load_detections(path)[0].objects) == 1
     else:
-        with pytest.raises(AnnotationError, match="img0.*degenerate"):
+        with pytest.raises(AnnotationError,
+                           match="img0.*(degenerate|non-finite)"):
             load_detections(path)
+
+
+def test_loads_back_masks_each_row_of_an_image():
+    boxes = np.array([[10, 20, 30, 40], [0, 0, 5, float("nan")],
+                      [100, 0, 120, 10], [-5, 70, 10, 80.001]])
+    assert loads_back(boxes, 100, 80).tolist() == [True, False, False, True]
+    assert loads_back(np.zeros((0, 4)), 100, 80).shape == (0,)
+
+
+@pytest.mark.parametrize("field", ["width", "height"])
+@pytest.mark.parametrize("value", ["640", 12.7, -5, 0, True, None])
+def test_annotations_extent_must_be_a_positive_integer(tmp_path, field, value):
+    doc = ann_doc([{"class": "face", "box": [0, 0, 10, 10]}], image="im3")
+    doc["images"][0][field] = value
+    with pytest.raises(AnnotationError,
+                       match=f"im3.*'{field}' must be an integer of at least 1"):
+        load_annotations(write_json(tmp_path, doc))
+
+
+@pytest.mark.parametrize("box, error, message", [
+    ([1, 2, 3], AnnotationError, r"box must have 4 coordinates, got \[1.0, 2.0, 3.0\]$"),
+    ([[1], [2], [3], [4]], AnnotationError,
+     r"got \[\[1.0\], \[2.0\], \[3.0\], \[4.0\]\]$"),
+    (5, AnnotationError, r"got 5.0$"),
+    ([1, 2, "x", 4], ValueError, "could not convert string to float: 'x'"),
+    ([1, 2, [3], 4], ValueError, r"detected shape was \(4,\) \+ inhomogeneous"),
+])
+def test_malformed_box_raises_its_own_error_among_good_boxes(tmp_path, box,
+                                                             error, message):
+    doc = ann_doc([{"class": "face", "box": [0, 0, 10, 10]},
+                   {"class": "mask", "box": box},
+                   {"class": "face", "box": [5, 5, 20, 20]}])
+    with pytest.raises(error, match=message):
+        load_annotations(write_json(tmp_path, doc))
+
+
+def test_several_faulty_objects_name_the_first_failing_check(tmp_path):
+    # object 0 is degenerate after clipping, object 1 is not finite: the
+    # non-finite check runs first, so it names object 1
+    doc = ann_doc([{"class": "face", "box": [200, 200, 300, 300]},
+                   {"class": "face", "box": [0, 0, float("inf"), 5]}])
+    with pytest.raises(AnnotationError, match=r"non-finite box \[0.0, 0.0, inf"):
+        load_annotations(write_json(tmp_path, doc))
 
 
 def test_annotations_duplicate_image_id(tmp_path):
@@ -356,6 +411,29 @@ def test_serialize_uses_six_decimal_places():
     assert '"box":[0.000000,0.000000,5.000000,5.000000]' in text
     assert text.endswith("\n")
     json.loads(text)    # stays valid JSON
+
+
+@pytest.mark.parametrize("box, confidence", [
+    ([0.0, 0.0, float("nan"), 5.0], 0.5),
+    ([0.0, 0.0, 5.0, 5.0], float("inf")),
+    ([-float("inf"), 0.0, 5.0, 5.0], 0.5),
+])
+def test_writer_refuses_non_finite_values(tmp_path, box, confidence):
+    good = ImageRecord("ok", 10, 10, [
+        AnnotatedObject(FACE, np.array([0.0, 0.0, 5.0, 5.0]), 0.25)])
+    bad = ImageRecord("img7", 10, 10, [
+        AnnotatedObject(FACE, np.array([1.0, 1.0, 4.0, 4.0]), 0.75),
+        AnnotatedObject(MASK, np.array(box), confidence)])
+    with pytest.raises(AnnotationError, match="img7.*non-finite"):
+        serialize_detections([good, bad])
+    path = tmp_path / "d.json"
+    with pytest.raises(AnnotationError, match="img7"):
+        save_detections([good, bad], path)
+    assert not path.exists()
+    path.write_bytes(b"previous")
+    with pytest.raises(AnnotationError, match="img7"):
+        save_detections([bad], path)
+    assert path.read_bytes() == b"previous"
 
 
 def test_annotations_invalid_json(tmp_path):
