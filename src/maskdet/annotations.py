@@ -58,11 +58,11 @@ class ImageRecord:
 
 def _clip_boxes(boxes: np.ndarray, width, height):
     """``(k, 4)`` boxes clipped to a ``width`` x ``height`` image, as a new
-    array, and the mask of rows left with positive extents (never NaN rows)."""
+    array, and the mask of finite rows left with positive extents."""
     w, h = float(width), float(height)
     clipped = np.minimum(np.maximum(boxes, 0.0), np.array([w, h, w, h]))
     ok = (clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3])
-    return clipped, ok
+    return clipped, ok & np.isfinite(boxes).all(axis=1)
 
 
 def loads_back(boxes, width, height) -> np.ndarray:
@@ -75,8 +75,7 @@ def loads_back(boxes, width, height) -> np.ndarray:
     """
     written = np.reshape([float(_fmt(v)) for v in np.ravel(boxes).tolist()],
                          (-1, 4))
-    ok = _clip_boxes(written, width, height)[1]
-    return ok & np.isfinite(written).all(axis=1)
+    return _clip_boxes(written, width, height)[1]
 
 
 def _parse_image(entry, with_confidence: bool) -> ImageRecord:
