@@ -27,7 +27,7 @@ print(f"ORCC on an overlapping pair: {len(faces)} face(s), {len(masks)} mask(s)"
 # --- the full chain on synthetic head outputs ----------------------------
 # Build predictions for a small config: one strong face and one strong mask
 # decoded onto the SAME box, everything else confidently background.
-config = ModelConfig(input_size=32, fpn_channels=8, cbam_reduction=4)
+config = ModelConfig(input_size=32, fpn_channels=8)
 anchors = generate_anchors(config)
 p = len(anchors)
 loc = np.zeros((p, 4))

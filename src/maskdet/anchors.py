@@ -12,7 +12,6 @@ anchor index within the cell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,22 +88,20 @@ def center_to_corner(boxes: np.ndarray) -> np.ndarray:
 def generate_anchors(config) -> AnchorSet:
     """Build the default anchor set for a model configuration.
 
-    Per level with stride s the grid is ceil(input_size / s); cell (i, j)
-    centers its anchors at ((j + 0.5) * s, (i + 0.5) * s) and carries
-    square anchors with sides 2s and 4s (anchor index 0 and 1).
+    Per level with stride s the grid is ``config.grid_sizes()``'s
+    ceil(input_size / s); cell (i, j) centers its anchors at
+    ((j + 0.5) * s, (i + 0.5) * s) and carries square anchors with sides 2s
+    and 4s (anchor index 0 and 1), one per ``ANCHOR_SIDE_SCALES`` entry.
     """
     levels = []
     parts = []
-    a = config.anchors_per_cell
-    sides_per_scale = ANCHOR_SIDE_SCALES[:a]
-    for stride in config.strides:
-        g = math.ceil(config.input_size / stride)
-        cx = (np.arange(g, dtype=np.float64) + 0.5) * stride
-        cy = (np.arange(g, dtype=np.float64) + 0.5) * stride
+    a = len(ANCHOR_SIDE_SCALES)
+    for stride, g in zip(config.strides, config.grid_sizes()):
+        centers = (np.arange(g, dtype=np.float64) + 0.5) * stride
         block = np.empty((g, g, a, 4), dtype=np.float64)
-        block[..., 0] = cx[None, :, None]
-        block[..., 1] = cy[:, None, None]
-        sides = np.array([scale * stride for scale in sides_per_scale])
+        block[..., 0] = centers[None, :, None]
+        block[..., 1] = centers[:, None, None]
+        sides = np.array([scale * stride for scale in ANCHOR_SIDE_SCALES])
         block[..., 2] = sides[None, None, :]
         block[..., 3] = sides[None, None, :]
         parts.append(block.reshape(-1, 4))

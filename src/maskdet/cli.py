@@ -22,26 +22,34 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotations import (AnnotatedObject, ImageRecord, load_annotations,
-                          load_detections, loads_back, save_detections)
+from .annotations import (CLASS_NAMES, AnnotatedObject, ImageRecord,
+                          load_annotations, load_detections, loads_back,
+                          save_detections)
 from .anchors import FACE, MASK, generate_anchors
-from .evaluate import EvalCounts, match_for_eval, precision_recall
+from .evaluate import (DEFAULT_EVAL_IOU, EvalCounts, match_for_eval,
+                       precision_recall)
 from .images import load_ppm, preprocess
 from .model import ModelConfig, build_model, init_reference_weights
-from .postproc import detect as run_detect
+from .postproc import (DEFAULT_CONF_THRESH, DEFAULT_NMS_IOU, DEFAULT_ORCC_IOU,
+                       detect as run_detect)
 from .selftest import run_selftest
 from .weights_io import load_weights, save_weights
 
-CLASS_PRINT_NAMES = {FACE: "face", MASK: "mask"}
-MIN_INPUT_SIZE = max(ModelConfig().strides)   # one cell of the coarsest grid
+REFERENCE_STRIDES = ModelConfig().strides
+MIN_INPUT_SIZE = max(REFERENCE_STRIDES)   # one cell of the coarsest grid
 
 
 def _parse_strides(text: str) -> tuple[int, ...]:
+    """Comma-separated strides that pass ``ModelConfig``'s strides rule."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        strides = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"strides must be comma-separated "
                                          f"integers, got {text!r}")
+    try:
+        return ModelConfig(strides=strides).strides
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_unit_float(text: str) -> float:
@@ -81,24 +89,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", default=640,
                    type=_int_at_least(MIN_INPUT_SIZE, " (the largest stride)"),
                    help=f"network input size, at least {MIN_INPUT_SIZE}")
-    p.add_argument("--tc", type=_parse_unit_float, default=0.5,
+    p.add_argument("--tc", type=_parse_unit_float,
+                   default=DEFAULT_CONF_THRESH,
                    help="confidence threshold in [0, 1]")
-    p.add_argument("--nms", type=_parse_unit_float, default=0.4,
+    p.add_argument("--nms", type=_parse_unit_float, default=DEFAULT_NMS_IOU,
                    help="NMS IoU threshold in [0, 1]")
-    p.add_argument("--orcc", type=_parse_unit_float, default=0.5,
+    p.add_argument("--orcc", type=_parse_unit_float,
+                   default=DEFAULT_ORCC_IOU,
                    help="cross-class removal IoU threshold in [0, 1]")
 
     p = sub.add_parser("eval", help="precision/recall of detections vs ground truth")
     p.add_argument("--pred", required=True, help="detections JSON")
     p.add_argument("--gt", required=True, help="ground-truth annotations JSON")
-    p.add_argument("--iou", type=_parse_unit_float, default=0.5,
+    p.add_argument("--iou", type=_parse_unit_float,
+                   default=DEFAULT_EVAL_IOU,
                    help="matching IoU threshold in [0, 1]")
 
     p = sub.add_parser("anchors", help="print anchor count and layout")
     p.add_argument("--size", type=_int_at_least(1), required=True,
                    help="input size in pixels, at least 1")
-    p.add_argument("--strides", type=_parse_strides, default=(8, 16, 32),
-                   help="comma-separated level strides (default 8,16,32)")
+    p.add_argument("--strides", type=_parse_strides,
+                   default=REFERENCE_STRIDES,
+                   help="comma-separated level strides (default %(default)s)")
 
     p = sub.add_parser("init-weights", help="write Kaiming-initialized weights")
     p.add_argument("--out", required=True, help="output weights path")
@@ -162,7 +174,7 @@ def _cmd_eval(args) -> int:
     metrics = precision_recall(totals)
     report = {"iou_threshold": args.iou, "classes": {}}
     for label in (FACE, MASK):
-        name = CLASS_PRINT_NAMES[label]
+        name = CLASS_NAMES[label]
         precision, recall = metrics[label]
         counts = totals.for_label(label)
         print(f"{name} precision={precision:.6f} recall={recall:.6f}")

@@ -17,6 +17,7 @@ import numpy as np
 from .anchors import FACE, MASK, iou_matrix
 
 FOREGROUND_CLASSES = (FACE, MASK)
+DEFAULT_EVAL_IOU = 0.5
 
 
 @dataclass
@@ -51,24 +52,28 @@ class EvalCounts:
 
 
 def match_for_eval(detections, gt_labels, gt_boxes,
-                   iou_thresh: float = 0.5) -> EvalCounts:
+                   iou_thresh: float = DEFAULT_EVAL_IOU) -> EvalCounts:
     """Count TP/FP/FN for one image's detections against its annotations.
 
     ``detections`` is a list of objects with box/label/confidence;
     ``gt_labels`` and ``gt_boxes`` are aligned arrays of class labels and
-    corner-form boxes.  Only detections with an IoU at or above the
-    threshold can claim, so only those rows of ``iou_matrix`` are visited.
+    corner-form boxes.  Each class's detections are ranked by descending
+    confidence, ties in list order.  Only detections with an IoU at or above
+    the threshold can claim, so only those rows of ``iou_matrix`` are
+    visited.
     """
     gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
+    labels = np.array([d.label for d in detections], dtype=np.int64)
+    confidences = np.array([d.confidence for d in detections], dtype=np.float64)
+    boxes = np.reshape([d.box for d in detections], (-1, 4))
     counts = EvalCounts.zero()
     for label in FOREGROUND_CLASSES:
-        dets = sorted((d for d in detections if d.label == label),
-                      key=lambda d: -d.confidence)
+        dets = np.flatnonzero(labels == label)
+        dets = dets[np.argsort(-confidences[dets], kind="stable")]
         gt_idx = np.flatnonzero(gt_labels == label)
         claimed = np.zeros(gt_idx.size, dtype=bool)
-        overlaps = iou_matrix(np.reshape([d.box for d in dets], (-1, 4)),
-                              gt_boxes[gt_idx])
+        overlaps = iou_matrix(boxes[dets], gt_boxes[gt_idx])
         for di in np.flatnonzero((overlaps >= iou_thresh).any(axis=1)).tolist():
             candidates = np.where(~claimed, overlaps[di], -1.0)
             best = int(candidates.argmax())
@@ -76,7 +81,7 @@ def match_for_eval(detections, gt_labels, gt_boxes,
                 claimed[best] = True
         c = counts.for_label(label)
         c.tp = int(claimed.sum())
-        c.fp = len(dets) - c.tp
+        c.fp = dets.size - c.tp
         c.fn = gt_idx.size - c.tp
     return counts
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
+from .anchors import ANCHOR_SIDE_SCALES
 from .kernels import (ConvParams, Tensor, activate, add_scaled,
                       concat_channels, conv2d, global_pool, linear, sigmoid,
                       upsample_nearest)
@@ -31,15 +33,21 @@ BACKBONE_TAPS = (2, 3, 4)          # stage indices (0-based) that feed the FPN
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Hyperparameters of the detector; defaults match the reference setup."""
+    """Settings of the detector; defaults match the reference setup.
+
+    Only ``input_size``, ``strides`` and ``fpn_channels`` are settable.  The
+    rest of the reference architecture is fixed: the class constants below
+    read like fields but cannot be passed in.
+    """
+
+    anchors_per_cell: ClassVar[int] = len(ANCHOR_SIDE_SCALES)
+    num_classes: ClassVar[int] = 3         # background, face, mask
+    fpn_coeff: ClassVar[float] = 1.0       # weight of the top-down path
+    cbam_reduction: ClassVar[int] = 4      # channel-attention MLP C -> C/4
 
     input_size: int = 640
     strides: tuple[int, int, int] = (8, 16, 32)
-    anchors_per_cell: int = 2
-    num_classes: int = 3
     fpn_channels: int = 64
-    fpn_coeff: float = 1.0
-    cbam_reduction: int = 4
 
     def __post_init__(self):
         if self.input_size < 1:
@@ -50,17 +58,10 @@ class ModelConfig:
         if list(self.strides) != sorted(set(self.strides)) or min(self.strides) < 1:
             raise ValueError(f"strides must be strictly increasing positive "
                              f"integers, got {self.strides}")
-        if self.num_classes != 3:
-            raise ValueError("num_classes is fixed at 3 (background, face, mask)")
-        if not 1 <= self.anchors_per_cell <= 2:
-            raise ValueError(f"anchors_per_cell must be 1 or 2, got "
-                             f"{self.anchors_per_cell}")
-        if self.fpn_channels % 4 != 0:
-            raise ValueError(f"fpn_channels must be divisible by 4 (context "
-                             f"branch split), got {self.fpn_channels}")
-        if self.fpn_channels % self.cbam_reduction != 0:
-            raise ValueError(f"fpn_channels {self.fpn_channels} not divisible "
-                             f"by cbam_reduction {self.cbam_reduction}")
+        if self.fpn_channels < 4 or self.fpn_channels % 4 != 0:
+            raise ValueError(f"fpn_channels must be positive and divisible by "
+                             f"4 (context branch split), got "
+                             f"{self.fpn_channels}")
 
     @property
     def num_levels(self) -> int:
@@ -124,6 +125,12 @@ def weight_manifest(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return manifest
 
 
+def _same_conv(kernel, bias, stride=1, groups=1) -> ConvParams:
+    """Every conv of the reference model keeps its input's extent up to
+    stride, so its padding is ``kernel_size // 2``."""
+    return ConvParams(kernel, bias, stride, kernel.shape[-1] // 2, groups)
+
+
 @dataclass(frozen=True)
 class Model:
     """A validated, immutable detector: configuration plus named weights."""
@@ -131,18 +138,16 @@ class Model:
     config: ModelConfig
     weights: dict[str, np.ndarray]
 
-    def conv_params(self, name: str, stride=1, padding=0, groups=1) -> ConvParams:
-        return ConvParams(self.weights[f"{name}.weight"],
-                          self.weights[f"{name}.bias"],
-                          stride=stride, padding=padding, groups=groups)
+    def conv_params(self, name: str, stride=1, groups=1) -> ConvParams:
+        return _same_conv(self.weights[f"{name}.weight"],
+                          self.weights[f"{name}.bias"], stride, groups)
 
-    def fused_conv_params(self, names, padding=0) -> ConvParams:
+    def fused_conv_params(self, names) -> ConvParams:
         """One conv over the same input whose output channels are those of
         ``names`` in order, concatenated from the stored tensors."""
         w = self.weights
-        return ConvParams(np.concatenate([w[f"{n}.weight"] for n in names]),
-                          np.concatenate([w[f"{n}.bias"] for n in names]),
-                          padding=padding)
+        return _same_conv(np.concatenate([w[f"{n}.weight"] for n in names]),
+                          np.concatenate([w[f"{n}.bias"] for n in names]))
 
 
 @dataclass(frozen=True)
@@ -164,8 +169,9 @@ def build_model(config: ModelConfig, weights: dict[str, np.ndarray]) -> Model:
     rather than deferring the fault to forward time.  Extra tensors are
     ignored.
     """
-    if tuple(config.strides) != (8, 16, 32):
-        raise ValueError(f"the reference backbone taps strides (8, 16, 32); "
+    reference = ModelConfig().strides
+    if tuple(config.strides) != reference:
+        raise ValueError(f"the reference backbone taps strides {reference}; "
                          f"got {config.strides}")
     manifest = weight_manifest(config)
     for name, shape in manifest.items():
@@ -190,7 +196,7 @@ def backbone_forward(model: Model, image: Tensor):
     taps = []
     for idx, (in_c, _) in enumerate(BACKBONE_STAGES, start=1):
         x = conv2d(x, model.conv_params(f"backbone.stage{idx}.dw",
-                                        stride=2, padding=1, groups=in_c))
+                                        stride=2, groups=in_c))
         x = activate(x, "relu")
         x = conv2d(x, model.conv_params(f"backbone.stage{idx}.pw"))
         x = activate(x, "relu")
@@ -203,9 +209,10 @@ def fpn_forward(model: Model, features):
     """Top-down feature pyramid over the three backbone taps.
 
     Lateral 1x1 convolutions unify channel counts; each level below the top
-    adds the (nearest-neighbor) upsampled level above scaled by fpn_coeff,
-    then passes a 3x3 smoothing convolution.  When adjacent grids are not an
-    exact 2x ratio the upsampled map is cropped top-left to fit.
+    adds the (nearest-neighbor) upsampled level above, scaled by the fixed
+    ``ModelConfig.fpn_coeff`` of 1, then passes a 3x3 smoothing convolution.
+    When adjacent grids are not an exact 2x ratio the upsampled map is
+    cropped top-left to fit.
     """
     laterals = [conv2d(f, model.conv_params(f"fpn.lateral{lvl}"))
                 for lvl, f in enumerate(features)]
@@ -216,8 +223,7 @@ def fpn_forward(model: Model, features):
         h, w = laterals[lvl].shape[2], laterals[lvl].shape[3]
         merged = add_scaled(laterals[lvl], up[:, :, :h, :w],
                             model.config.fpn_coeff)
-        outputs[lvl] = conv2d(merged, model.conv_params(f"fpn.smooth{lvl}",
-                                                        padding=1))
+        outputs[lvl] = conv2d(merged, model.conv_params(f"fpn.smooth{lvl}"))
     return tuple(outputs)
 
 
@@ -247,7 +253,7 @@ def spatial_attention(feature: Tensor, conv_w, conv_b) -> Tensor:
     mx = feature.max(axis=1, keepdims=True)
     mean = feature.mean(axis=1, keepdims=True, dtype=np.float64).astype(np.float32)
     stacked = concat_channels([mx, mean])
-    gate = sigmoid(conv2d(stacked, ConvParams(conv_w, conv_b, padding=3)))
+    gate = sigmoid(conv2d(stacked, _same_conv(conv_w, conv_b)))
     return (feature * gate).astype(np.float32)
 
 
@@ -263,16 +269,16 @@ def context_attention_forward(model: Model, feature: Tensor, level: int) -> Tens
     h = f"head{level}"
     c = feature.shape[1]
     first = conv2d(feature, model.fused_conv_params(
-        [f"{h}.ctx.b{i}.conv1" for i in (1, 2, 3)], padding=1))
+        [f"{h}.ctx.b{i}.conv1" for i in (1, 2, 3)]))
     b1, b2, b3 = np.split(first, [c // 2, 3 * c // 4], axis=1)
 
     b2 = activate(b2, "relu")
-    b2 = conv2d(b2, model.conv_params(f"{h}.ctx.b2.conv2", padding=1))
+    b2 = conv2d(b2, model.conv_params(f"{h}.ctx.b2.conv2"))
 
     b3 = activate(b3, "relu")
-    b3 = conv2d(b3, model.conv_params(f"{h}.ctx.b3.conv2", padding=1))
+    b3 = conv2d(b3, model.conv_params(f"{h}.ctx.b3.conv2"))
     b3 = activate(b3, "relu")
-    b3 = conv2d(b3, model.conv_params(f"{h}.ctx.b3.conv3", padding=1))
+    b3 = conv2d(b3, model.conv_params(f"{h}.ctx.b3.conv3"))
 
     out = concat_channels([b1, b2, b3])
     w = model.weights

@@ -113,7 +113,7 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
 
 
 def orcc(faces: list[Detection], masks: list[Detection],
-         thresh: float = 0.4) -> tuple[list[Detection], list[Detection]]:
+         thresh: float = DEFAULT_ORCC_IOU) -> tuple[list[Detection], list[Detection]]:
     """Cross-class object removal between NMS-filtered face and mask lists.
 
     Deterministic sweep: faces in list order, masks in list order, skipping

@@ -5,7 +5,7 @@ from maskdet.anchors import AnchorSet, LevelLayout
 from maskdet.model import ModelConfig, build_model, init_reference_weights
 
 # small enough that a full forward takes milliseconds: grids 4/2/1, p = 42
-TINY = ModelConfig(input_size=32, fpn_channels=8, cbam_reduction=4)
+TINY = ModelConfig(input_size=32, fpn_channels=8)
 
 
 @pytest.fixture(scope="session")

@@ -59,6 +59,20 @@ def test_argument_errors_exit_2():
     assert main(["anchors", "--size", "x"]) == 2
 
 
+@pytest.mark.parametrize("strides,message", [
+    ("8,16", "exactly three detection levels"),
+    ("8,16,32,64", "exactly three detection levels"),
+    ("16,8,32", "strictly increasing positive integers"),
+    ("8,8,32", "strictly increasing positive integers"),
+    ("0,16,32", "strictly increasing positive integers"),
+    ("8,16,x", "comma-separated integers"),
+])
+def test_anchors_bad_strides_are_argument_errors(strides, message, capsys):
+    assert main(["anchors", "--size", "640", "--strides", strides]) == 2
+    err = capsys.readouterr().err
+    assert "argument --strides" in err and message in err
+
+
 def test_detect_size_accepts_largest_stride_and_up():
     detect = ["detect", "--weights", "w", "--input", "i", "--out", "o"]
     for size in (32, 840):
@@ -143,6 +157,19 @@ def test_eval_rejects_non_integer_extent(tmp_path, capsys):
     assert main(["eval", "--pred", str(pred_path), "--gt", str(gt_path)]) == 1
     captured = capsys.readouterr()
     assert "image 'im': 'width' must be an integer of at least 1, got 12.7" \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_eval_rejects_a_string_confidence(tmp_path, capsys):
+    head = '{"images":[{"id":"im","width":10,"height":10,"objects":'
+    gt_path, pred_path = tmp_path / "gt.json", tmp_path / "pred.json"
+    gt_path.write_text(head + '[{"class":"face","box":[0,0,5,5]}]}]}')
+    pred_path.write_text(
+        head + '[{"class":"face","box":[0,0,5,5],"confidence":"0.5"}]}]}')
+    assert main(["eval", "--pred", str(pred_path), "--gt", str(gt_path)]) == 1
+    captured = capsys.readouterr()
+    assert "image 'im': confidence must be a number, got \"0.5\"" \
         in captured.err
     assert captured.out == ""
 

@@ -348,8 +348,10 @@ def test_annotations_extent_must_be_a_positive_integer(tmp_path, field, value):
     ([[1], [2], [3], [4]], AnnotationError,
      r"got \[\[1.0\], \[2.0\], \[3.0\], \[4.0\]\]$"),
     (5, AnnotationError, r"got 5.0$"),
-    ([1, 2, "x", 4], ValueError, "could not convert string to float: 'x'"),
-    ([1, 2, [3], 4], ValueError, r"detected shape was \(4,\) \+ inhomogeneous"),
+    ([1, 2, "x", 4], AnnotationError,
+     r"img0': box values must be numbers, got \[1, 2, \"x\", 4\]$"),
+    ([1, 2, [3], 4], AnnotationError,
+     r"img0': box must have 4 coordinates, got \[1.0, 2.0, \[3.0\], 4.0\]$"),
 ])
 def test_malformed_box_raises_its_own_error_among_good_boxes(tmp_path, box,
                                                              error, message):
@@ -358,6 +360,38 @@ def test_malformed_box_raises_its_own_error_among_good_boxes(tmp_path, box,
                    {"class": "face", "box": [5, 5, 20, 20]}])
     with pytest.raises(error, match=message):
         load_annotations(write_json(tmp_path, doc))
+
+
+GOOD_OBJECT = {"class": "face", "box": [0, 0, 10, 10], "confidence": 0.9}
+
+
+def with_object(**fields):
+    return ann_doc([GOOD_OBJECT, dict(GOOD_OBJECT, **fields)])
+
+
+@pytest.mark.parametrize("doc, message", [
+    (with_object(box=[1, 2, "5", 4]),
+     r"img0': box values must be numbers, got \[1, 2, \"5\", 4\]$"),
+    (with_object(box=[1, 2, True, 4]),
+     r"img0': box values must be numbers, got \[1, 2, true, 4\]$"),
+    (with_object(box="abcd"), r"img0': box values must be numbers, got \"abcd\"$"),
+    (with_object(box={"a": 1}), r"img0': box values must be numbers"),
+    (with_object(box=[1, 2, None, 4]), r"img0': box values must be numbers"),
+    (with_object(box=[0, 0, 10 ** 400, 5]), r"img0': non-finite box \[0.0, 0.0, inf, 5.0\]$"),
+    (with_object(box=[-10 ** 400, 0, 5, 5]), r"img0': non-finite box \[-inf, 0.0, 5.0, 5.0\]$"),
+    (with_object(confidence="0.5"), r"img0': confidence must be a number, got \"0.5\"$"),
+    (with_object(confidence=True), r"img0': confidence must be a number, got true$"),
+    (with_object(confidence=None), r"img0': confidence must be a number, got null$"),
+    (with_object(confidence=10 ** 400), r"img0': non-finite confidence inf$"),
+    (with_object(**{"class": ["face"]}), r"img0': unknown class"),
+    (ann_doc([GOOD_OBJECT, 5]), r"img0': each object must be a JSON object, got 5$"),
+    (ann_doc(5), r"img0': 'objects' must be an array, got 5$"),
+    (ann_doc("xy"), r"img0': 'objects' must be an array, got \"xy\"$"),
+    ({"images": [ann_doc([])["images"][0], 1]}, r"image entry must be an object, got 1$"),
+])
+def test_loader_requires_json_types(tmp_path, doc, message):
+    with pytest.raises(AnnotationError, match=message):
+        load_detections(write_json(tmp_path, doc))
 
 
 def test_several_faulty_objects_name_the_first_failing_check(tmp_path):
@@ -446,4 +480,16 @@ def test_annotations_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(AnnotationError, match="not valid JSON"):
+        load_annotations(path)
+
+
+@pytest.mark.parametrize("text", [
+    b'{"images": [{"id": "a", "width": 10, "height": 10, "objects": '
+    b'[{"class": "face", "box": [0, 0, ' + b"9" * 5000 + b', 5]}]}]}',
+    b'{"images": [{"id": "\xff"}]}',
+])
+def test_unreadable_json_names_the_file(tmp_path, text):
+    path = tmp_path / "odd.json"
+    path.write_bytes(text)
+    with pytest.raises(AnnotationError, match="odd.json: not valid JSON"):
         load_annotations(path)
