@@ -159,11 +159,14 @@ def decode(offsets, anchor, variances=DEFAULT_VARIANCES,
     """Invert :func:`encode`, returning corner-form boxes.
 
     When ``image_size`` is given, coordinates are clipped to [0, image_size].
+    A size offset too large for float64 decodes to an infinite size, so its
+    box is clipped to the image or, unclipped, dropped as non-finite.
     """
     t = np.asarray(offsets, dtype=np.float64)
     a = np.asarray(anchor, dtype=np.float64)
     center = a[..., :2] + t[..., :2] * variances[0] * a[..., 2:]
-    size = a[..., 2:] * np.exp(t[..., 2:] * variances[1])
+    with np.errstate(over="ignore"):
+        size = a[..., 2:] * np.exp(t[..., 2:] * variances[1])
     boxes = center_to_corner(np.concatenate([center, size], axis=-1))
     if image_size is not None:
         boxes = np.clip(boxes, 0.0, float(image_size))

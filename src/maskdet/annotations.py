@@ -76,11 +76,22 @@ def loads_back(boxes, width, height) -> np.ndarray:
 
     Files carry six decimals, so a box thinner than that can load with zero
     width or height although it had a positive extent when written.  A box
-    with a non-finite value never loads.
+    with a non-finite value never loads.  Six-decimal rounding is monotonic
+    and keeps 0 and the integer image extents, so it commutes with clipping:
+    a clipped box that is not positive stays so, and rounding moves a
+    clipped side by at most 1e-6.  Only the rows left with a positive width
+    or height of at most 2e-6 are therefore formatted and clipped again as
+    the loader will read them.
     """
-    written = np.reshape([float(_fmt(v)) for v in np.ravel(boxes).tolist()],
-                         (-1, 4))
-    return _clip_boxes(written, width, height)[1]
+    boxes = np.reshape(np.asarray(boxes, dtype=np.float64), (-1, 4))
+    clipped, ok = _clip_boxes(boxes, width, height)
+    extents = np.minimum(clipped[:, 2] - clipped[:, 0],
+                         clipped[:, 3] - clipped[:, 1])
+    thin = ok & (extents <= 2e-6)
+    if thin.any():
+        written = [float(_fmt(v)) for v in boxes[thin].ravel().tolist()]
+        ok[thin] = _clip_boxes(np.reshape(written, (-1, 4)), width, height)[1]
+    return ok
 
 
 def _as_floats(value):

@@ -83,21 +83,33 @@ def save_ppm(path, pixels: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
+def _nearest(source: int, target: int) -> np.ndarray:
+    """Source index of each of ``target`` nearest-neighbour samples."""
+    return (np.arange(target) * source) // target
+
+
 def resize_nearest(pixels: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     """Nearest-neighbor resize of an (h, w, c) array."""
     h, w = pixels.shape[:2]
-    rows = (np.arange(target_h) * h) // target_h
-    cols = (np.arange(target_w) * w) // target_w
-    return pixels[rows][:, cols]
+    return pixels[_nearest(h, target_h)][:, _nearest(w, target_w)]
 
 
 def preprocess(pixels: np.ndarray, target_size: int,
                means=DEFAULT_MEANS) -> np.ndarray:
-    """RGB pixels -> (1, 3, s, s) float32 BGR tensor with means subtracted."""
-    resized = resize_nearest(pixels, target_size, target_size)
-    chw = resized.transpose(2, 0, 1)[::-1].astype(np.float32, order="C")
-    chw -= np.asarray(means, dtype=np.float32)[:, None, None]
-    return chw[None]
+    """RGB pixels -> (1, 3, s, s) float32 BGR tensor with means subtracted.
+
+    Each plane is gathered by rows, then by columns, with the
+    :func:`resize_nearest` indices, and its mean is subtracted as it is
+    written into the float32 output.
+    """
+    h, w = pixels.shape[:2]
+    rows, cols = _nearest(h, target_size), _nearest(w, target_size)
+    out = np.empty((1, 3, target_size, target_size), dtype=np.float32)
+    for plane, channel in enumerate((2, 1, 0)):    # RGB -> BGR
+        picked = np.take(pixels[:, :, channel], rows, axis=0, mode="clip")
+        np.subtract(np.take(picked, cols, axis=1, mode="clip"),
+                    np.float32(means[plane]), out=out[0, plane])
+    return out
 
 
 def load_image(path, target_size: int, means=DEFAULT_MEANS) -> np.ndarray:

@@ -82,13 +82,22 @@ def conv_output_extent(extent: int, kernel: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - kernel) // stride + 1
 
 
-def _pad2d(x: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
-    """Zero-padded copy of ``x`` in its own dtype; ``x`` itself when unpadded."""
+# Bytes that one band of conv2d output rows may use for its float64 column
+# tile plus its float64 accumulator.
+BAND_BYTES = 4 << 20
+
+
+def _band_rows(x: np.ndarray, top: int, count: int, pad_w: int) -> np.ndarray:
+    """Rows ``top .. top + count - 1`` of ``x`` with ``pad_w`` zero columns on
+    each side, in ``x``'s dtype; rows outside ``x`` read as zeros.  A view of
+    ``x`` when no zero is needed."""
     n, c, h, w = x.shape
-    if pad_h == 0 and pad_w == 0:
-        return x
-    out = np.zeros((n, c, h + 2 * pad_h, w + 2 * pad_w), dtype=x.dtype)
-    out[:, :, pad_h:pad_h + h, pad_w:pad_w + w] = x
+    lo = max(top, 0)
+    hi = max(lo, min(top + count, h))
+    if lo == top and hi == top + count and pad_w == 0:
+        return x[:, :, lo:hi]
+    out = np.zeros((n, c, count, w + 2 * pad_w), dtype=x.dtype)
+    out[:, :, lo - top:hi - top, pad_w:pad_w + w] = x[:, :, lo:hi]
     return out
 
 
@@ -102,12 +111,18 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """2-D cross-correlation of an NCHW tensor with a weight kernel.
 
     Output extents follow h' = floor((h + 2*pad - kh) / stride) + 1 and must
-    be at least 1.  Every group count takes the same lowering: the input is
-    zero-padded in its own dtype (an unpadded input is not copied), its
-    window view is written once, cast to float64, into per-group im2col
-    columns, and the columns are multiplied by the per-group kernel
-    matrices in one batched matmul.  The bias is added in place.
-    Accumulation happens in float64; the result is a fresh float32 array.
+    be at least 1.  Every group count takes the same lowering, run over
+    bands of output rows sized so that a band's float64 im2col tile plus
+    its float64 accumulator fit in ``BAND_BYTES`` (at least one row per
+    band).  For each band, only the input rows it reads are zero-padded, in
+    the input's dtype (a band that needs no zero is a view of the input);
+    their window view is written once, cast to float64, into the per-group
+    column tile; the tile is multiplied by the per-group kernel matrices in
+    one batched matmul; and the bias is added to the accumulator before it
+    is stored into the band's rows of one preallocated float32 output.
+    Bands split only the columns of the matmul, so every output value is
+    the same float64 dot product in the same order whatever the band size:
+    the result does not depend on ``BAND_BYTES``.
     """
     _require_nchw(x)
     n, c, h, w = x.shape
@@ -128,19 +143,33 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
                          f"padding {params.padding} does not fit input "
                          f"{h}x{w} (output would be {out_h}x{out_w})")
 
-    # (g, og, cg*kh*kw) kernels times (n, g, cg*kh*kw, h'*w') im2col columns
+    # (g, og, cg*kh*kw) kernels times (n, g, cg*kh*kw, rows*w') im2col tiles
     cg, og = c // g, out_c // g
-    win = _windows(_pad2d(x, ph, pw), kh, kw, sh, sw)
-    cols = np.empty((n, g, cg, kh, kw, out_h, out_w), dtype=np.float64)
-    cols[...] = (win.reshape(n, g, cg, out_h, out_w, kh, kw)
-                 .transpose(0, 1, 2, 5, 6, 3, 4))
-    cols = cols.reshape(n, g, cg * kh * kw, out_h * out_w)
-    kernel = params.kernel.astype(np.float64).reshape(g, og, cg * kh * kw)
-    out = np.matmul(kernel, cols).reshape(n, out_c, out_h, out_w)
-
-    if params.bias is not None:
-        out += params.bias.astype(np.float64)[None, :, None, None]
-    return out.astype(np.float32)
+    taps = cg * kh * kw
+    kernel = params.kernel.astype(np.float64).reshape(g, og, taps)
+    bias = (None if params.bias is None
+            else params.bias.astype(np.float64)[None, :, None, None])
+    row_bytes = 8 * n * out_w * (g * taps + out_c)
+    band = min(out_h, max(1, BAND_BYTES // max(row_bytes, 1)))
+    # one column tile and one accumulator, reused by every band
+    tile_buf = np.empty(n * g * taps * band * out_w)
+    acc_buf = np.empty(n * out_c * band * out_w)
+    out = np.empty((n, out_c, out_h, out_w), dtype=np.float32)
+    for top in range(0, out_h, band):
+        rows = min(band, out_h - top)
+        win = _windows(_band_rows(x, top * sh - ph, (rows - 1) * sh + kh, pw),
+                       kh, kw, sh, sw)
+        tile = tile_buf[:n * g * taps * rows * out_w]
+        tile.reshape(n, g, cg, kh, kw, rows, out_w)[...] = (
+            win.reshape(n, g, cg, rows, out_w, kh, kw)
+            .transpose(0, 1, 2, 5, 6, 3, 4))
+        acc = acc_buf[:n * out_c * rows * out_w].reshape(n, g, og, rows * out_w)
+        np.matmul(kernel, tile.reshape(n, g, taps, rows * out_w), out=acc)
+        acc = acc.reshape(n, out_c, rows, out_w)
+        if bias is not None:
+            acc += bias
+        out[:, :, top:top + rows] = acc
+    return out
 
 
 def pool2d(x: Tensor, mode: str, window, stride) -> Tensor:

@@ -156,6 +156,17 @@ def test_decode_clips_to_image():
     assert unclipped[0] < 0
 
 
+def test_decode_overflowing_size_is_infinite_without_a_warning():
+    # exp(t * 0.2) overflows float64 beyond t ~ 3549; raw head outputs of
+    # random weights reach that (the suite turns RuntimeWarnings into errors)
+    anchor = np.array([10.0, 10.0, 16.0, 16.0])
+    offsets = np.array([0.0, 0.0, 4000.0, 1.0])
+    box = decode(offsets, anchor, image_size=640)
+    assert box[0] == 0.0 and box[2] == 640.0
+    unclipped = decode(offsets, anchor)
+    assert unclipped[0] == -math.inf and unclipped[2] == math.inf
+
+
 def test_encode_decode_round_trip_randomized():
     rng = np.random.default_rng(2)
     n = 10_000

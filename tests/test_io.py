@@ -1,8 +1,11 @@
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskdet.annotations import (AnnotatedObject, AnnotationError, ImageRecord,
                                  load_annotations, load_detections, loads_back,
@@ -221,6 +224,20 @@ def test_red_pixel_bgr_means(tmp_path):
     np.testing.assert_allclose(tensor[0, :, 0, 0], [-104.0, -117.0, 132.0])
 
 
+@pytest.mark.parametrize("height, width", [(480, 640), (600, 800), (512, 512),
+                                           (640, 480), (33, 1001), (700, 7)])
+def test_preprocess_is_the_resized_bgr_image_minus_means(height, width):
+    pixels = np.random.default_rng(height).integers(0, 256, (height, width, 3),
+                                                    dtype=np.uint8)
+    means = np.array([104.0, 117.0, 123.0], dtype=np.float32)
+    for size in (640, 97):
+        want = (resize_nearest(pixels, size, size)[:, :, ::-1]
+                .transpose(2, 0, 1).astype(np.float32) - means[:, None, None])
+        got = preprocess(pixels, size)
+        assert got.shape == (1, 3, size, size) and got.dtype == np.float32
+        assert np.array_equal(got[0], want)
+
+
 def test_preprocess_shape_and_dtype():
     rng = np.random.default_rng(1)
     pixels = rng.integers(0, 256, (30, 50, 3), dtype=np.uint8)
@@ -324,6 +341,50 @@ def test_loads_back_rejects_non_finite_rows_like_loader(tmp_path, box):
         {"class": "face", "box": box, "confidence": 0.5}]))
     with pytest.raises(AnnotationError, match="img0.*non-finite box"):
         load_detections(path)
+
+
+def written_then_loaded(boxes, width, height):
+    """Mask of rows that load: every value printed with six decimals and
+    read back, then clipped and checked as the loader does."""
+    written = np.array([[float(f"{v:.6f}") for v in row] for row in boxes],
+                       dtype=np.float64).reshape(-1, 4)
+    clipped = np.clip(written, 0.0, [width, height, width, height])
+    return (np.isfinite(written).all(axis=1)
+            & (clipped[:, 0] < clipped[:, 2]) & (clipped[:, 1] < clipped[:, 3]))
+
+
+def thin_boxes(rng, width, height, count):
+    """``count`` boxes with extents near six decimals, corners on and just
+    past the image edges or on 5e-7 steps, and some non-finite values."""
+    def corners(limit):
+        return np.choose(rng.integers(0, 5, count), [
+            rng.uniform(-5.0, limit + 5.0, count),
+            rng.choice([0.0, float(limit), -1e-7, limit + 1e-7], count),
+            rng.integers(0, limit + 1, count) + 5e-7 * rng.integers(-3, 4, count),
+            np.round(rng.uniform(0, limit, count), 6) + 5e-7,
+            np.round(rng.uniform(0, limit, count), 6) - 5e-7])
+
+    def extents():
+        return np.choose(rng.integers(0, 4, count), [
+            rng.uniform(1e-7, 3e-6, count), -rng.uniform(1e-7, 3e-6, count),
+            5e-7 * rng.integers(0, 7, count), rng.uniform(0.0, 20.0, count)])
+
+    x0, y0 = corners(width), corners(height)
+    boxes = np.stack([x0, y0, x0 + extents(), y0 + extents()], axis=1)
+    bad = rng.random(count) < 0.05
+    boxes[bad, rng.integers(0, 4, bad.sum())] = rng.choice(
+        [math.nan, math.inf, -math.inf], bad.sum())
+    return boxes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_loads_back_matches_formatting_every_value(seed):
+    rng = np.random.default_rng(seed)
+    width, height = (int(v) for v in rng.integers(1, 2000, 2))
+    boxes = thin_boxes(rng, width, height, 50)
+    mask = loads_back(boxes, width, height)
+    assert mask.tolist() == written_then_loaded(boxes, width, height).tolist()
 
 
 def test_loads_back_masks_each_row_of_an_image():

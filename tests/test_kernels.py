@@ -1,14 +1,19 @@
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskdet import kernels, model as model_module
 from maskdet.kernels import (ConvParams, activate, add_scaled,
                              concat_channels, conv2d, conv_output_extent,
                              global_pool, linear, pool2d, sigmoid,
                              upsample_nearest)
+from maskdet.model import (ModelConfig, build_model, init_reference_weights,
+                           model_forward)
 from maskdet.oracles import naive_conv2d, naive_pool2d, naive_upsample
 from maskdet.selftest import random_conv_case
 
@@ -35,7 +40,7 @@ def test_conv_constant_input_all_ones_kernel():
     assert out.shape == (1, 1, 4, 4)
 
 
-@pytest.mark.parametrize("shape,kshape,stride,padding,groups", [
+NAIVE_CASES = [
     ((1, 3, 5, 5), (2, 3, 3, 3), (2, 2), (1, 1), 1),   # spec example geometry
     ((1, 1, 4, 4), (1, 1, 1, 1), (1, 1), (0, 0), 1),
     ((2, 4, 6, 7), (3, 4, 3, 2), (1, 2), (0, 1), 1),
@@ -47,8 +52,10 @@ def test_conv_constant_input_all_ones_kernel():
     ((2, 5, 7, 6), (5, 1, 3, 3), (2, 2), (1, 1), 5),   # batch 2, strided dw
     ((1, 3, 5, 5), (6, 1, 3, 3), (2, 2), (1, 1), 3),   # dw, multiplier 2
     ((1, 6, 4, 4), (9, 2, 1, 1), (1, 1), (0, 0), 3),   # grouped 1x1
-])
-def test_conv_matches_naive_reference(shape, kshape, stride, padding, groups):
+]
+
+
+def assert_conv_matches_naive(shape, kshape, stride, padding, groups):
     x = rand(shape, seed=hash((shape, kshape)) % 2**32)
     kernel = rand(kshape, seed=5)
     bias = rand((kshape[0],), seed=6)
@@ -57,6 +64,11 @@ def test_conv_matches_naive_reference(shape, kshape, stride, padding, groups):
     want = naive_conv2d(x.astype(np.float64), kernel.astype(np.float64),
                         bias.astype(np.float64), stride, padding, groups)
     assert np.abs(got - want).max() <= 1e-5
+
+
+@pytest.mark.parametrize("shape,kshape,stride,padding,groups", NAIVE_CASES)
+def test_conv_matches_naive_reference(shape, kshape, stride, padding, groups):
+    assert_conv_matches_naive(shape, kshape, stride, padding, groups)
 
 
 def test_conv_linearity():
@@ -134,6 +146,100 @@ def test_conv_finite_on_finite_inputs():
     out = conv2d(x, ConvParams(rand((4, 4, 3, 3), seed=11, scale=100.0),
                                padding=(1, 1)))
     assert np.isfinite(out).all()
+
+
+# ------------------------------------------------ banded conv2d lowering
+
+TINY_BANDS = 256       # bytes: every call below runs one output row per band
+ONE_BAND = 1 << 62     # bytes: every call runs as a single band
+
+
+def conv_with_budget(x, params, band_bytes):
+    with mock.patch.object(kernels, "BAND_BYTES", band_bytes):
+        return conv2d(x, params)
+
+
+@pytest.fixture(scope="module")
+def reference_conv_calls():
+    """One (input, params) pair per distinct conv2d call of a 640 forward
+    pass of the reference model."""
+    config = ModelConfig()
+    model = build_model(config, init_reference_weights(config, seed=3))
+    calls = {}
+
+    def record(x, params):
+        key = (x.shape, params.kernel.shape, params.stride, params.padding,
+               params.groups)
+        calls.setdefault(key, (x, params))
+        return conv2d(x, params)
+
+    with mock.patch.object(model_module, "conv2d", record):
+        model_forward(model, rand((1, 3, 640, 640), seed=21, scale=50.0))
+    return list(calls.values())
+
+
+def test_conv_bands_match_one_band_on_reference_layers(reference_conv_calls):
+    assert len(reference_conv_calls) >= 20
+    for x, params in reference_conv_calls:
+        one = conv_with_budget(x, params, ONE_BAND)
+        assert np.array_equal(conv_with_budget(x, params, TINY_BANDS), one)
+
+
+@pytest.mark.parametrize("shape,kshape,stride,padding,groups,rows", [
+    ((1, 4, 10, 9), (3, 4, 3, 3), 1, 1, 1, 3),         # bands 3, 3, 3, 1
+    ((1, 5, 13, 11), (5, 1, 3, 3), 2, 1, 5, 2),        # stride 2, odd height
+    ((1, 3, 15, 12), (4, 3, 7, 7), 1, 3, 1, 2),        # padding spans bands
+    ((1, 6, 9, 7), (9, 2, 3, 3), (2, 1), 1, 3, 2),     # grouped
+    ((2, 4, 11, 8), (6, 4, 3, 3), 2, 1, 1, 4),         # batch 2
+    ((1, 3, 5, 6), (2, 3, 1, 1), 1, 2, 1, 2),          # rows of zeros only
+])
+def test_conv_bands_match_one_band(shape, kshape, stride, padding, groups,
+                                   rows):
+    x = rand(shape, seed=31)
+    params = ConvParams(rand(kshape, seed=32), rand((kshape[0],), seed=33),
+                        stride=stride, padding=padding, groups=groups)
+    one = conv_with_budget(x, params, ONE_BAND)
+    out_h, out_w = one.shape[2:]
+    assert out_h % rows != 0      # the last band is shorter than the rest
+    # float64 column tile plus float64 accumulator per output row
+    row_bytes = 8 * shape[0] * out_w * (shape[1] * kshape[2] * kshape[3]
+                                        + kshape[0])
+    for band_bytes in (TINY_BANDS, rows * row_bytes, (rows + 1) * row_bytes - 1):
+        assert np.array_equal(conv_with_budget(x, params, band_bytes), one)
+
+
+def test_conv_empty_batch():
+    x = np.zeros((0, 4, 9, 7), dtype=np.float32)
+    params = ConvParams(rand((6, 2, 3, 3)), rand((6,)), stride=2, padding=1,
+                        groups=2)
+    for band_bytes in (TINY_BANDS, ONE_BAND):
+        out = conv_with_budget(x, params, band_bytes)
+        assert out.shape == (0, 6, 5, 4) and out.dtype == np.float32
+
+
+@pytest.mark.parametrize("shape,kshape,stride,padding,groups", NAIVE_CASES)
+def test_conv_matches_naive_reference_in_tiny_bands(shape, kshape, stride,
+                                                    padding, groups):
+    with mock.patch.object(kernels, "BAND_BYTES", TINY_BANDS):
+        assert_conv_matches_naive(shape, kshape, stride, padding, groups)
+
+
+@pytest.mark.parametrize("shape,kshape,stride,groups", [
+    ((1, 16, 320, 320), (16, 1, 3, 3), 2, 16),     # backbone.stage2.dw
+    ((1, 64, 80, 80), (64, 64, 3, 3), 1, 1),       # fpn.smooth0
+])
+def test_conv_working_memory_is_bounded(shape, kshape, stride, groups):
+    # a single-band float64 im2col of either layer alone takes 29.5 MB
+    x = rand(shape, seed=41)
+    params = ConvParams(rand(kshape, seed=42), rand((kshape[0],), seed=43),
+                        stride=stride, padding=1, groups=groups)
+    tracemalloc.start()
+    try:
+        conv2d(x, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 # ---------------------------------------------------------------- pooling
@@ -366,5 +472,15 @@ def test_conv_random_small_tensors_vs_naive(seed):
     rng = np.random.default_rng(seed)
     x, params, want = random_conv_case(rng, bool(rng.integers(0, 2)))
     got = conv2d(x, params)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_conv_random_small_tensors_vs_naive_in_tiny_bands(seed):
+    rng = np.random.default_rng(seed)
+    x, params, want = random_conv_case(rng, bool(rng.integers(0, 2)))
+    got = conv_with_budget(x, params, TINY_BANDS)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-5
