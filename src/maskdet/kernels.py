@@ -10,11 +10,19 @@ float64.
 
 Convolution here is cross-correlation (no kernel flip), padding is always
 zero-padding, and there is no autodiff: the network is inference-only.
-All functions are pure and safe to call from multiple threads.
+All functions are pure and safe to call from multiple threads.  ``conv2d``
+may hand bands of output rows to helper threads, but every call has its own
+output, band counter and buffers, runs its own bands until none is left and
+returns only after its last band has stopped, so concurrent calls share only
+the helpers and cannot deadlock on them.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +90,8 @@ def conv_output_extent(extent: int, kernel: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - kernel) // stride + 1
 
 
-# Bytes that one band of conv2d output rows may use for its float64 column
-# tile plus its float64 accumulator.
+# Bytes that the bands of one conv2d call in flight together may use for
+# their float64 column tiles plus their float64 accumulators.
 BAND_BYTES = 4 << 20
 
 
@@ -107,22 +115,84 @@ def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return win[:, :, ::sh, ::sw]
 
 
+@functools.cache
+def _blas_threads() -> int | None:
+    """Threads the OpenBLAS that numpy loaded runs a matmul on, or None when
+    no such library is found.  numpy's wheels keep it in ``numpy.libs``;
+    opening it again returns the copy already loaded."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(f for f in os.listdir(libs) if "openblas" in f)
+    except OSError:
+        return None
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:
+            continue
+        # numpy 2 wheels, then numpy 1 wheels
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+    return None
+
+
+def _band_workers() -> int:
+    """Threads that share one conv2d call's bands, the caller included: every
+    CPU this process may use when BLAS runs one thread, else 1, because BLAS
+    threads would already fill the CPUs."""
+    if _blas_threads() != 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_pool = None           # (pid, threads, executor), made on first use
+_pool_lock = threading.Lock()
+
+
+def _helper_pool(threads: int):
+    """The process's executor of ``threads`` conv2d helper threads.  It is
+    made on first use, and made again in a forked child, which inherits the
+    parent's executor but none of its threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[:2] != (os.getpid(), threads):
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = (os.getpid(), threads,
+                     ThreadPoolExecutor(threads, thread_name_prefix="conv2d"))
+        return _pool[2]
+
+
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """2-D cross-correlation of an NCHW tensor with a weight kernel.
 
     Output extents follow h' = floor((h + 2*pad - kh) / stride) + 1 and must
     be at least 1.  Every group count takes the same lowering, run over
-    bands of output rows sized so that a band's float64 im2col tile plus
-    its float64 accumulator fit in ``BAND_BYTES`` (at least one row per
-    band).  For each band, only the input rows it reads are zero-padded, in
-    the input's dtype (a band that needs no zero is a view of the input);
-    their window view is written once, cast to float64, into the per-group
-    column tile; the tile is multiplied by the per-group kernel matrices in
-    one batched matmul; and the bias is added to the accumulator before it
-    is stored into the band's rows of one preallocated float32 output.
-    Bands split only the columns of the matmul, so every output value is
-    the same float64 dot product in the same order whatever the band size:
-    the result does not depend on ``BAND_BYTES``.
+    bands of output rows.  A band has as many rows as fit its float64
+    im2col tile plus its float64 accumulator in ``BAND_BYTES`` divided by
+    the number of workers (at least one row).  For each band, only the
+    input rows it reads are zero-padded, in the input's dtype (a band that
+    needs no zero is a view of the input); their window view is written
+    once, cast to float64, into the worker's per-group column tile; the
+    tile is multiplied by the per-group kernel matrices in one batched
+    matmul; and the bias is added to the accumulator before it is stored
+    into the band's rows of one preallocated float32 output.
+
+    When BLAS runs one thread, the workers are the caller plus a helper
+    thread for each further CPU this process may use, and a call of two or
+    more bands claims them one at a time from a shared counter on every
+    worker; otherwise the caller runs every band.  The call returns or
+    raises only once all its bands have stopped, and an error in any band
+    reaches the caller.  Bands split only the columns of the matmul, so
+    every output value is the same float64 dot product in the same order
+    whatever the band size or the worker that ran it: the result depends on
+    neither ``BAND_BYTES`` nor the number of workers.
     """
     _require_nchw(x)
     n, c, h, w = x.shape
@@ -150,25 +220,50 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     bias = (None if params.bias is None
             else params.bias.astype(np.float64)[None, :, None, None])
     row_bytes = 8 * n * out_w * (g * taps + out_c)
-    band = min(out_h, max(1, BAND_BYTES // max(row_bytes, 1)))
-    # one column tile and one accumulator, reused by every band
-    tile_buf = np.empty(n * g * taps * band * out_w)
-    acc_buf = np.empty(n * out_c * band * out_w)
+    workers = _band_workers()
+    band = min(out_h, max(1, BAND_BYTES // workers // max(row_bytes, 1)))
     out = np.empty((n, out_c, out_h, out_w), dtype=np.float32)
-    for top in range(0, out_h, band):
-        rows = min(band, out_h - top)
-        win = _windows(_band_rows(x, top * sh - ph, (rows - 1) * sh + kh, pw),
-                       kh, kw, sh, sw)
-        tile = tile_buf[:n * g * taps * rows * out_w]
-        tile.reshape(n, g, cg, kh, kw, rows, out_w)[...] = (
-            win.reshape(n, g, cg, rows, out_w, kh, kw)
-            .transpose(0, 1, 2, 5, 6, 3, 4))
-        acc = acc_buf[:n * out_c * rows * out_w].reshape(n, g, og, rows * out_w)
-        np.matmul(kernel, tile.reshape(n, g, taps, rows * out_w), out=acc)
-        acc = acc.reshape(n, out_c, rows, out_w)
-        if bias is not None:
-            acc += bias
-        out[:, :, top:top + rows] = acc
+    tops = range(0, out_h, band)
+    unclaimed = iter(tops)
+    claim_lock = threading.Lock()
+
+    def run_bands():
+        # one column tile and one accumulator per worker, reused by each band
+        # it claims
+        tile_buf = np.empty(n * g * taps * band * out_w)
+        acc_buf = np.empty(n * out_c * band * out_w)
+        while True:
+            with claim_lock:
+                top = next(unclaimed, None)
+            if top is None:
+                return
+            rows = min(band, out_h - top)
+            win = _windows(_band_rows(x, top * sh - ph, (rows - 1) * sh + kh, pw),
+                           kh, kw, sh, sw)
+            tile = tile_buf[:n * g * taps * rows * out_w]
+            tile.reshape(n, g, cg, kh, kw, rows, out_w)[...] = (
+                win.reshape(n, g, cg, rows, out_w, kh, kw)
+                .transpose(0, 1, 2, 5, 6, 3, 4))
+            acc = acc_buf[:n * out_c * rows * out_w].reshape(n, g, og, rows * out_w)
+            np.matmul(kernel, tile.reshape(n, g, taps, rows * out_w), out=acc)
+            acc = acc.reshape(n, out_c, rows, out_w)
+            if bias is not None:
+                acc += bias
+            out[:, :, top:top + rows] = acc
+
+    helpers = min(workers, len(tops)) - 1
+    if helpers < 1:
+        run_bands()
+        return out
+    pool = _helper_pool(workers - 1)
+    futures = [pool.submit(run_bands) for _ in range(helpers)]
+    try:
+        run_bands()
+    finally:
+        for future in futures:
+            future.exception()         # waits: no band outlives the call
+    for future in futures:
+        future.result()
     return out
 
 

@@ -268,28 +268,32 @@ def test_every_detect_output_loads_in_eval(seed, size, height, width, tc,
 
 
 def test_detect_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """The same 640 input gives the same file with one BLAS thread and with
-    the library's default thread count."""
+    """The same 640 input gives the same file with one BLAS thread (conv
+    bands on every CPU), with the library's default thread count (bands on
+    the calling thread) and pinned to one CPU."""
     save_weights(init_reference_weights(ModelConfig(), 7), tmp_path / "w.rfmw")
     rng = np.random.default_rng(5)
     save_ppm(tmp_path / "im.ppm",
              rng.integers(0, 256, (640, 640, 3), dtype=np.uint8))
     src = str(Path(__file__).resolve().parents[1] / "src")
+    cpu = min(os.sched_getaffinity(0))
     outputs = []
-    for threads in ("1", None):
+    for threads, pinned in (("1", False), (None, False), (None, True)):
         env = {k: v for k, v in os.environ.items() if k not in
                ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = tmp_path / f"d-{threads}.json"
+        out = tmp_path / f"d-{threads}-{pinned}.json"
         subprocess.run([sys.executable, "-m", "maskdet.cli", "detect",
                         "--weights", str(tmp_path / "w.rfmw"),
                         "--input", str(tmp_path / "im.ppm"), "--out", str(out)],
-                       env=env, check=True, timeout=120)
+                       env=env, check=True, timeout=120,
+                       preexec_fn=(lambda: os.sched_setaffinity(0, {cpu}))
+                       if pinned else None)
         outputs.append(out.read_bytes())
     assert json.loads(outputs[0])["images"][0]["objects"]
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_detect_directory_mode(tmp_path, capsys):

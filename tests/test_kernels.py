@@ -1,4 +1,10 @@
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -185,19 +191,28 @@ def test_conv_bands_match_one_band_on_reference_layers(reference_conv_calls):
         assert np.array_equal(conv_with_budget(x, params, TINY_BANDS), one)
 
 
-@pytest.mark.parametrize("shape,kshape,stride,padding,groups,rows", [
+ODD_BAND_CASES = [
     ((1, 4, 10, 9), (3, 4, 3, 3), 1, 1, 1, 3),         # bands 3, 3, 3, 1
     ((1, 5, 13, 11), (5, 1, 3, 3), 2, 1, 5, 2),        # stride 2, odd height
     ((1, 3, 15, 12), (4, 3, 7, 7), 1, 3, 1, 2),        # padding spans bands
     ((1, 6, 9, 7), (9, 2, 3, 3), (2, 1), 1, 3, 2),     # grouped
     ((2, 4, 11, 8), (6, 4, 3, 3), 2, 1, 1, 4),         # batch 2
     ((1, 3, 5, 6), (2, 3, 1, 1), 1, 2, 1, 2),          # rows of zeros only
-])
-def test_conv_bands_match_one_band(shape, kshape, stride, padding, groups,
-                                   rows):
+]
+
+
+def odd_band_case(shape, kshape, stride, padding, groups):
     x = rand(shape, seed=31)
     params = ConvParams(rand(kshape, seed=32), rand((kshape[0],), seed=33),
                         stride=stride, padding=padding, groups=groups)
+    return x, params
+
+
+@pytest.mark.parametrize("shape,kshape,stride,padding,groups,rows",
+                         ODD_BAND_CASES)
+def test_conv_bands_match_one_band(shape, kshape, stride, padding, groups,
+                                   rows):
+    x, params = odd_band_case(shape, kshape, stride, padding, groups)
     one = conv_with_budget(x, params, ONE_BAND)
     out_h, out_w = one.shape[2:]
     assert out_h % rows != 0      # the last band is shorter than the rest
@@ -224,11 +239,13 @@ def test_conv_matches_naive_reference_in_tiny_bands(shape, kshape, stride,
         assert_conv_matches_naive(shape, kshape, stride, padding, groups)
 
 
-@pytest.mark.parametrize("shape,kshape,stride,groups", [
+BOUNDED_LAYERS = [
     ((1, 16, 320, 320), (16, 1, 3, 3), 2, 16),     # backbone.stage2.dw
     ((1, 64, 80, 80), (64, 64, 3, 3), 1, 1),       # fpn.smooth0
-])
-def test_conv_working_memory_is_bounded(shape, kshape, stride, groups):
+]
+
+
+def conv_peak_bytes(shape, kshape, stride, groups):
     # a single-band float64 im2col of either layer alone takes 29.5 MB
     x = rand(shape, seed=41)
     params = ConvParams(rand(kshape, seed=42), rand((kshape[0],), seed=43),
@@ -236,10 +253,160 @@ def test_conv_working_memory_is_bounded(shape, kshape, stride, groups):
     tracemalloc.start()
     try:
         conv2d(x, params)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6
+
+
+@pytest.mark.parametrize("shape,kshape,stride,groups", BOUNDED_LAYERS)
+def test_conv_working_memory_is_bounded(shape, kshape, stride, groups):
+    assert conv_peak_bytes(shape, kshape, stride, groups) <= 12e6
+
+
+@pytest.mark.parametrize("shape,kshape,stride,groups", BOUNDED_LAYERS)
+def test_conv_working_memory_is_bounded_on_two_workers(shape, kshape, stride,
+                                                       groups):
+    # the workers share BAND_BYTES, so a second one adds no column tile
+    with mock.patch.object(kernels, "_band_workers", lambda: 2):
+        assert conv_peak_bytes(shape, kshape, stride, groups) <= 12e6
+
+
+# ------------------------------------------------- conv2d bands on workers
+
+DEFAULT_BANDS = kernels.BAND_BYTES
+
+
+def conv_on_workers(x, params, band_bytes, workers):
+    with mock.patch.object(kernels, "_band_workers", lambda: workers):
+        return conv_with_budget(x, params, band_bytes)
+
+
+@pytest.mark.parametrize("band_bytes", [TINY_BANDS, DEFAULT_BANDS])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pooled_conv_matches_serial_on_reference_layers(reference_conv_calls,
+                                                        workers, band_bytes):
+    for x, params in reference_conv_calls:
+        serial = conv_on_workers(x, params, band_bytes, 1)
+        assert np.array_equal(conv_on_workers(x, params, band_bytes, workers),
+                              serial)
+
+
+@pytest.mark.parametrize("band_bytes", [TINY_BANDS, DEFAULT_BANDS])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("shape,kshape,stride,padding,groups,rows",
+                         ODD_BAND_CASES)
+def test_pooled_conv_matches_serial(shape, kshape, stride, padding, groups,
+                                    rows, workers, band_bytes):
+    x, params = odd_band_case(shape, kshape, stride, padding, groups)
+    serial = conv_on_workers(x, params, ONE_BAND, 1)
+    assert np.array_equal(conv_on_workers(x, params, band_bytes, workers),
+                          serial)
+    if workers > 1 and band_bytes == TINY_BANDS:
+        assert kernels._pool[:2] == (os.getpid(), workers - 1)
+
+
+def test_pooled_conv_error_reaches_caller_after_every_band_stops():
+    x, params = odd_band_case(*ODD_BAND_CASES[0][:5])
+    serial = conv_on_workers(x, params, ONE_BAND, 1)
+    real_band_rows = kernels._band_rows
+    lock = threading.Lock()
+    calls, in_band = [], []
+
+    def third_band_fails(*args):
+        with lock:
+            calls.append(args)
+            index = len(calls) - 1
+            in_band.append(index)
+        try:
+            time.sleep(0.02)
+            if index == 2:
+                raise RuntimeError("band 3 failed")
+            return real_band_rows(*args)
+        finally:
+            with lock:
+                in_band.remove(index)
+
+    with mock.patch.object(kernels, "_band_rows", third_band_fails):
+        with pytest.raises(RuntimeError, match="band 3 failed"):
+            conv_on_workers(x, params, TINY_BANDS, 3)
+        assert in_band == []
+        claimed = len(calls)
+        time.sleep(0.1)
+        assert len(calls) == claimed        # no worker claims bands any more
+    assert np.array_equal(conv_on_workers(x, params, TINY_BANDS, 3), serial)
+
+
+def test_pooled_conv_from_many_threads_at_once():
+    # four callers share one pool of three helpers on more workers than
+    # CPUs, switching threads as often as the interpreter allows
+    cases = [odd_band_case(*case[:5]) for case in ODD_BAND_CASES[:4]]
+    serial = [conv_on_workers(x, params, ONE_BAND, 1) for x, params in cases]
+    results = [[] for _ in cases]
+
+    def call(i):
+        x, params = cases[i]
+        for _ in range(20):
+            results[i].append(conv_with_budget(x, params, TINY_BANDS))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(kernels, "_band_workers", lambda: 4):
+            callers = [threading.Thread(target=call, args=(i,))
+                       for i in range(len(cases))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for got, want in zip(results, serial):
+        assert len(got) == 20
+        assert all(np.array_equal(out, want) for out in got)
+
+
+def test_blas_thread_probe_reads_the_environment():
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    read = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", "from maskdet import kernels; "
+             "print(kernels._blas_threads())"],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        read.append(out.stdout.strip())
+    if read == ["None", "None"]:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    assert read == ["1", "2"]
+
+
+def _pooled_conv_into(queue, x, params):
+    queue.put(conv_on_workers(x, params, TINY_BANDS, 2))
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded"
+                            ":DeprecationWarning")
+def test_pooled_conv_runs_in_a_forked_child():
+    x, params = odd_band_case(*ODD_BAND_CASES[1][:5])
+    serial = conv_on_workers(x, params, ONE_BAND, 1)
+    # the parent's pool now has a helper thread, which a forked child lacks
+    assert np.array_equal(conv_on_workers(x, params, TINY_BANDS, 2), serial)
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_pooled_conv_into, args=(queue, x, params))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+        child.join(timeout=10)
+        assert not child.is_alive()
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert np.array_equal(got, serial)
 
 
 # ---------------------------------------------------------------- pooling
