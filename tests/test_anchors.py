@@ -98,7 +98,9 @@ def test_iou_matrix_matches_scalar():
                       [5, 5, 5, 5], [0, 0, 10, 0], [3, 0, 3, 10],
                       [0, 0, 10, 10]], dtype=np.float64)
     boxes = np.concatenate([real, grid, right, below, edges, real[:5]])
+    before = boxes.copy()
     mat = iou_matrix(boxes, boxes)
+    np.testing.assert_array_equal(boxes, before)      # buffers are its own
     mismatches = [(i, j) for i in range(len(boxes)) for j in range(len(boxes))
                   if mat[i, j] != iou_ref(boxes[i], boxes[j])]
     assert mismatches == []

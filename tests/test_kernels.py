@@ -507,6 +507,23 @@ def test_sigmoid_finite_for_extreme_inputs():
     assert s[0] == 0.0 and s[-1] == 1.0
 
 
+def test_sigmoid_equals_per_branch_formula():
+    """exp(-|x|) serves both branches: each value is the float64 formula of
+    its sign's branch, rounded to float32 (NaN stays NaN)."""
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e3, -1e3, 745.2, -745.2]
+    x64 = np.concatenate([special, rand((3996,), seed=5, scale=30.0)])
+    for x in (x64, x64.astype(np.float32), x64.reshape(1, -1, 3, 3)):
+        v = x.astype(np.float64)
+        want = np.empty_like(v)
+        pos = v >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+        neg = np.exp(v[~pos])
+        want[~pos] = neg / (1.0 + neg)
+        got = sigmoid(x)
+        assert got.dtype == np.float32 and got.shape == x.shape
+        np.testing.assert_array_equal(got, want.astype(np.float32))
+
+
 def test_activate_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         activate(rand((1, 1, 1, 1)), "tanh")

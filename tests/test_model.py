@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from maskdet.anchors import generate_anchors
-from maskdet.kernels import ConvParams, activate, concat_channels, conv2d
-from maskdet.model import (BACKBONE_STAGES, Model, ModelConfig, Predictions,
-                           backbone_forward, build_model, channel_attention,
-                           context_attention_forward, flatten_head_map,
-                           fpn_forward, init_reference_weights, kaiming_init,
+from maskdet import model as model_module
+from maskdet.kernels import (ConvParams, activate, add_scaled, concat_channels,
+                             conv2d, upsample_nearest)
+from maskdet.model import (BACKBONE_STAGES, BACKBONE_TAPS, Model, ModelConfig,
+                           Predictions, backbone_forward, build_model,
+                           channel_attention, context_attention_forward,
+                           flatten_head_map, fpn_forward,
+                           init_reference_weights, kaiming_init,
                            model_forward, spatial_attention, weight_manifest)
 from maskdet.oracles import naive_conv2d
 from conftest import TINY
@@ -175,6 +178,50 @@ def test_fpn_hand_traced_toy(tiny_store):
     assert not p0[0, 1:].any() and not p1[0, 1:].any() and not p2[0, 1:].any()
 
 
+def reference_fpn(model, features):
+    """fpn_forward composed from the kernels: each merge is the float64
+    ``add_scaled`` of the lateral and the cropped nearest upsampling."""
+    laterals = [conv2d(f, model.conv_params(f"fpn.lateral{lvl}"))
+                for lvl, f in enumerate(features)]
+    outputs, merged = [None, None, laterals[2]], [None, None]
+    for lvl in (1, 0):
+        h, w = laterals[lvl].shape[2:]
+        up = upsample_nearest(outputs[lvl + 1], 2)[:, :, :h, :w]
+        merged[lvl] = add_scaled(laterals[lvl], up, ModelConfig.fpn_coeff)
+        outputs[lvl] = conv2d(merged[lvl], model.conv_params(f"fpn.smooth{lvl}"))
+    return tuple(outputs), merged
+
+
+@pytest.mark.parametrize("size,grids", [(640, (80, 40, 20)), (100, (13, 7, 4))])
+def test_fpn_in_place_merge_equals_scaled_add(size, grids, tiny_store,
+                                              monkeypatch):
+    """The float32 merge into the lateral's buffer is bit-identical to the
+    float64 scaled add, also where the upsampled map is cropped (size 100)."""
+    model = build_model(ModelConfig(input_size=size, fpn_channels=8), tiny_store)
+    r = np.random.default_rng(size)
+    features = tuple((r.standard_normal((1, c, g, g)) * 30).astype(np.float32)
+                     for c, g in zip((32, 64, 128), grids))
+    before = [f.copy() for f in features]
+    conv_inputs = []
+
+    def record(x, params):
+        conv_inputs.append(x.copy())
+        return conv2d(x, params)
+
+    monkeypatch.setattr(model_module, "conv2d", record)
+    got = fpn_forward(model, features)
+    monkeypatch.undo()
+    want, merged = reference_fpn(model, features)
+    # three laterals, then smooth1 and smooth0, each on its level's merge
+    assert len(conv_inputs) == 5
+    np.testing.assert_array_equal(conv_inputs[3], merged[1])
+    np.testing.assert_array_equal(conv_inputs[4], merged[0])
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    for f, b in zip(features, before):
+        np.testing.assert_array_equal(f, b)
+
+
 # ------------------------------------------------------------- attention
 
 def test_channel_attention_zero_weights_halves_feature():
@@ -316,15 +363,23 @@ def test_model_forward_row_count_and_determinism(tiny_model):
 
 
 def unfused_forward(model, image):
-    """model_forward composed from one conv per stored tensor, no fusion."""
+    """model_forward composed from one conv per stored tensor and the
+    kernels' own ReLU and scaled add: no fusion, nothing in place."""
     a = model.config.anchors_per_cell
     w = model.weights
 
     def cv(name, x):
         return conv2d(x, model.conv_params(name))
 
+    x, taps = image, []
+    for idx, (in_c, _) in enumerate(BACKBONE_STAGES, start=1):
+        x = activate(conv2d(x, model.conv_params(f"backbone.stage{idx}.dw",
+                                                 stride=2, groups=in_c)), "relu")
+        x = activate(cv(f"backbone.stage{idx}.pw", x), "relu")
+        taps.append(x)
+    pyramid, _ = reference_fpn(model, [taps[t] for t in BACKBONE_TAPS])
     loc_rows, cls_rows = [], []
-    for lvl, feat in enumerate(fpn_forward(model, backbone_forward(model, image))):
+    for lvl, feat in enumerate(pyramid):
         h = f"head{lvl}.ctx"
         b1 = cv(f"{h}.b1.conv1", feat)
         b2 = cv(f"{h}.b2.conv2", activate(cv(f"{h}.b2.conv1", feat), "relu"))
@@ -341,7 +396,7 @@ def unfused_forward(model, image):
     return np.concatenate(loc_rows), np.concatenate(cls_rows)
 
 
-@pytest.mark.parametrize("size", [32, 64])
+@pytest.mark.parametrize("size", [32, 64, 100])
 def test_model_forward_equals_unfused_composition(size, tiny_store):
     config = ModelConfig(input_size=size, fpn_channels=8)
     model = build_model(config, tiny_store)
@@ -352,6 +407,59 @@ def test_model_forward_equals_unfused_composition(size, tiny_store):
     assert pred.loc.shape == loc.shape and pred.cls.shape == cls.shape
     np.testing.assert_allclose(pred.loc, loc, rtol=0, atol=1e-6)
     np.testing.assert_allclose(pred.cls, cls, rtol=0, atol=1e-6)
+
+
+def sampled_conv_errors(x, params, out, extra=2, seed=0):
+    """Relative errors of a few elements of ``out`` against the scalar-loop
+    oracle on the patch each one reads: its minimum, its maximum and
+    ``extra`` random elements."""
+    _, cg, kh, kw = params.kernel.shape
+    og = params.kernel.shape[0] // params.groups
+    (sh, sw), (ph, pw) = params.stride, params.padding
+    padded = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    picks = [out.argmin(), out.argmax(),
+             *np.random.default_rng(seed).integers(out.size, size=extra)]
+    errors = []
+    for flat in picks:
+        _, o, i, j = np.unravel_index(flat, out.shape)
+        g = o // og
+        patch = padded[:, g * cg:(g + 1) * cg, i * sh:i * sh + kh, j * sw:j * sw + kw]
+        kernel, bias = params.kernel[o:o + 1], params.bias[o:o + 1]
+        want = naive_conv2d(patch, kernel, bias)[0, 0, 0, 0]
+        scale = float(np.abs(patch[0] * kernel[0]).sum()) + abs(float(bias[0]))
+        errors.append(abs(float(out[0, o, i, j]) - want) / (scale + 1e-12))
+    return errors
+
+
+def test_forward_conv_outputs_are_plain_convolutions(tiny_store, monkeypatch):
+    """What conv2d returns inside a forward pass is the convolution alone,
+    as the benchmark's traced run checks it: an activation fused into
+    conv2d would fail here.  The forward's in-place steps touch only
+    buffers it owns: the image and every weight array are left as given."""
+    config = ModelConfig(input_size=100, fpn_channels=8)
+    model = build_model(config, tiny_store)
+    image = (np.random.default_rng(3).standard_normal((1, 3, 100, 100))
+             * 50).astype(np.float32)
+    image_before = image.copy()
+    weights_before = {k: v.copy() for k, v in model.weights.items()}
+    calls = []
+
+    def checked(x, params):
+        out = conv2d(x, params)
+        calls.append((x.copy(), params, out.copy()))
+        return out
+
+    monkeypatch.setattr(model_module, "conv2d", checked)
+    model_forward(model, image)
+    monkeypatch.undo()
+    assert len(calls) == 33
+    assert sum(out.min() < 0 for _, _, out in calls) >= 30
+    for call, (x, params, out) in enumerate(calls):
+        assert max(sampled_conv_errors(x, params, out, seed=call)) <= 1e-5
+    np.testing.assert_array_equal(image, image_before)
+    assert model.weights.keys() == weights_before.keys()
+    for name, value in model.weights.items():
+        np.testing.assert_array_equal(value, weights_before[name], err_msg=name)
 
 
 @pytest.mark.parametrize("shape,kshape,padding,groups,view", [
