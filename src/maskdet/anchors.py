@@ -114,32 +114,41 @@ def iou(a, b) -> float:
     return float(iou_matrix(np.reshape(a, (1, 4)), np.reshape(b, (1, 4)))[0, 0])
 
 
-@np.errstate(invalid="ignore", over="ignore")
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two corner-form box arrays, shape (len_a, len_b).
+    """Pairwise IoU between two corner-form box arrays, shape
+    (len_a, len_b): :func:`iou_pairs` of every row with every row."""
+    a = np.asarray(boxes_a, dtype=np.float64).T
+    b = np.ascontiguousarray(np.asarray(boxes_b, dtype=np.float64).T)
+    return iou_pairs(a[:, :, None], b[:, None, :])
 
-    Every value lies in [0, 1], never NaN: a pair whose union is not
-    positive (empty, inverted or non-finite boxes) gets 0.  The pairwise
-    steps reuse three (len_a, len_b) buffers in place.
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corner-form boxes given coordinate first, paired by
+    broadcasting.
+
+    ``a[0]`` .. ``a[3]`` are the x_min, y_min, x_max and y_max of the first
+    boxes, and likewise for ``b``: two ``(4, k)`` arrays give the ``(k,)``
+    IoUs of their aligned columns, and :func:`iou_matrix` pairs every box
+    with every box.  Every value lies in [0, 1], never NaN: a pair whose
+    union is not positive (empty, inverted or non-finite boxes) gets 0.  The
+    pairwise steps reuse three buffers of the broadcast shape in place.
     """
-    a = np.asarray(boxes_a, dtype=np.float64)
-    b = np.asarray(boxes_b, dtype=np.float64)
-    ix = np.minimum(a[:, None, 2], b[None, :, 2])
-    tmp = np.maximum(a[:, None, 0], b[None, :, 0])
+    ix = np.minimum(a[2], b[2])
+    tmp = np.maximum(a[0], b[0])
     ix -= tmp
     np.maximum(ix, 0.0, out=ix)     # the ufunc np.clip(ix, 0.0, None) calls
-    iy = np.minimum(a[:, None, 3], b[None, :, 3])
-    np.maximum(a[:, None, 1], b[None, :, 1], out=tmp)
+    iy = np.minimum(a[3], b[3])
+    np.maximum(a[1], b[1], out=tmp)
     iy -= tmp
     np.maximum(iy, 0.0, out=iy)
     inter = np.multiply(ix, iy, out=ix)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = np.add(area_a[:, None], area_b[None, :], out=iy)
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    union = np.add(area_a, area_b, out=iy)
     union -= inter
-    out = tmp
-    out.fill(0.0)
-    np.divide(inter, union, out=out, where=union > 0)
+    out = np.divide(inter, union, out=tmp)
+    np.copyto(out, 0.0, where=~(union > 0))
     return out
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,12 +53,28 @@ class ImageRecord:
     width: int
     height: int
     objects: list[AnnotatedObject]
+    # the loader's (k,) labels, (k, 4) boxes and (k,) confidences (None in
+    # an annotation file), aligned with ``objects``; a record made without
+    # them rebuilds each array from ``objects``
+    arrays: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.objects)
 
     def labels(self) -> np.ndarray:
+        if self.arrays is not None:
+            return self.arrays[0]
         return np.array([o.label for o in self.objects], dtype=np.int64)
 
     def boxes(self) -> np.ndarray:
+        if self.arrays is not None:
+            return self.arrays[1]
         return np.reshape([o.box for o in self.objects], (-1, 4))
+
+    def confidences(self) -> np.ndarray:
+        if self.arrays is not None and self.arrays[2] is not None:
+            return self.arrays[2]
+        return np.array([o.confidence for o in self.objects], dtype=np.float64)
 
 
 def _clip_boxes(boxes: np.ndarray, width, height):
@@ -205,6 +221,7 @@ def _parse_image(entry, with_confidence: bool) -> ImageRecord:
     clipped, ok = _clip_boxes(boxes, width, height)
     reject(ok, lambda i: f"degenerate box {rows[i]} after clipping to "
                          f"{width}x{height}")
+    scores = None
     if with_confidence:
         scores = _floats(confidences)
         reject(np.isfinite(scores),
@@ -213,7 +230,8 @@ def _parse_image(entry, with_confidence: bool) -> ImageRecord:
     else:
         confidences = [None] * len(labels)
     objects = [AnnotatedObject(*f) for f in zip(labels, clipped, confidences)]
-    return ImageRecord(image_id, width, height, objects)
+    return ImageRecord(image_id, width, height, objects,
+                       (np.array(labels, dtype=np.int64), clipped, scores))
 
 
 def _load(path, with_confidence: bool) -> list[ImageRecord]:

@@ -168,7 +168,7 @@ def _cmd_eval(args) -> int:
             raise ValueError(f"image '{gt.image_id}': prediction is "
                              f"{pred.width}x{pred.height} but ground truth is "
                              f"{gt.width}x{gt.height}")
-        dets = pred.objects if pred is not None else []
+        dets = pred if pred is not None else []
         totals = totals + match_for_eval(dets, gt.labels(), gt.boxes(),
                                          iou_thresh=args.iou)
     metrics = precision_recall(totals)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import FACE, MASK, iou_matrix
+from .annotations import ImageRecord
 
 FOREGROUND_CLASSES = (FACE, MASK)
 DEFAULT_EVAL_IOU = 0.5
@@ -55,18 +56,24 @@ def match_for_eval(detections, gt_labels, gt_boxes,
                    iou_thresh: float = DEFAULT_EVAL_IOU) -> EvalCounts:
     """Count TP/FP/FN for one image's detections against its annotations.
 
-    ``detections`` is a list of objects with box/label/confidence;
-    ``gt_labels`` and ``gt_boxes`` are aligned arrays of class labels and
-    corner-form boxes.  Each class's detections are ranked by descending
-    confidence, ties in list order.  Only detections with an IoU at or above
-    the threshold can claim, so only those rows of ``iou_matrix`` are
-    visited.
+    ``detections`` is a list of objects with box/label/confidence, or a
+    loaded :class:`~maskdet.annotations.ImageRecord`, whose arrays are used
+    as they are; ``gt_labels`` and ``gt_boxes`` are aligned arrays of class
+    labels and corner-form boxes.  Each class's detections are ranked by
+    descending confidence, ties in list order.  Only detections with an IoU
+    at or above the threshold can claim, so only those rows of
+    ``iou_matrix`` are visited.
     """
     gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    labels = np.array([d.label for d in detections], dtype=np.int64)
-    confidences = np.array([d.confidence for d in detections], dtype=np.float64)
-    boxes = np.reshape([d.box for d in detections], (-1, 4))
+    if isinstance(detections, ImageRecord):
+        labels, boxes = detections.labels(), detections.boxes()
+        confidences = detections.confidences()
+    else:
+        labels = np.array([d.label for d in detections], dtype=np.int64)
+        confidences = np.array([d.confidence for d in detections],
+                               dtype=np.float64)
+        boxes = np.reshape([d.box for d in detections], (-1, 4))
     counts = EvalCounts.zero()
     for label in FOREGROUND_CLASSES:
         dets = np.flatnonzero(labels == label)

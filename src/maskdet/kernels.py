@@ -110,9 +110,14 @@ def _band_rows(x: np.ndarray, top: int, count: int, pad_w: int) -> np.ndarray:
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    # (n, c, h', w', kh, kw) strided view over the padded input
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return win[:, :, ::sh, ::sw]
+    """The read-only ``(n, c, h', w', kh, kw)`` view of every ``kh`` x ``kw``
+    window of the padded input ``x`` at strides ``(sh, sw)``; the caller
+    checks that one window fits."""
+    n, c, h, w = x.shape
+    s_n, s_c, s_h, s_w = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (n, c, (h - kh) // sh + 1, (w - kw) // sw + 1, kh, kw),
+        (s_n, s_c, s_h * sh, s_w * sw, s_h, s_w), writeable=False)
 
 
 @functools.cache
@@ -189,10 +194,14 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     more bands claims them one at a time from a shared counter on every
     worker; otherwise the caller runs every band.  The call returns or
     raises only once all its bands have stopped, and an error in any band
-    reaches the caller.  Bands split only the columns of the matmul, so
-    every output value is the same float64 dot product in the same order
-    whatever the band size or the worker that ran it: the result depends on
-    neither ``BAND_BYTES`` nor the number of workers.
+    reaches the caller.  Bands split only the columns of the matmul, but
+    OpenBLAS's dgemm may sum in another order when a call's column count
+    changes, and at narrow output widths band splits were measured to
+    change float64 values in the last bits.  The float32 output rounds
+    such a difference away except with a chance of about 2**-28 per value,
+    so the output bytes matched across ``BAND_BYTES`` and worker counts in
+    every measured case; that rests on float32 rounding, not on
+    construction.
     """
     _require_nchw(x)
     n, c, h, w = x.shape

@@ -224,6 +224,41 @@ def test_detect_end_to_end_writes_detections(tmp_path, ppm, capsys):
         assert 0 <= x0 <= x1 <= 64 and 0 <= y0 <= y1 <= 48
 
 
+def test_detect_goes_through_the_benchmark_hooks(tmp_path, monkeypatch):
+    """The benchmark times each image from ``cli.load_ppm`` to
+    ``cli.run_detect`` and each call to ``cli.save_detections``; a detect
+    run that bypassed those names would leave it with no image times."""
+    import maskdet.cli as cli
+
+    calls = {}
+
+    def counted(name):
+        orig = getattr(cli, name)
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("load_ppm", "run_detect", "save_detections"):
+        counted(name)
+    images = tmp_path / "images"
+    images.mkdir()
+    rng = np.random.default_rng(1)
+    for stem in ("a", "b"):
+        save_ppm(images / f"{stem}.ppm",
+                 rng.integers(0, 256, (40, 56, 3), dtype=np.uint8))
+    weights = tmp_path / "w.rfmw"
+    assert main(["init-weights", "--out", str(weights), "--seed", "3"]) == 0
+    out = tmp_path / "dets.json"
+    assert main(["detect", "--weights", str(weights), "--input", str(images),
+                 "--out", str(out), "--size", "64"]) == 0
+    assert calls == {"load_ppm": 2, "run_detect": 2, "save_detections": 1}
+    images = json.loads(out.read_text())["images"]
+    assert [image["id"] for image in images] == ["a", "b"]
+
+
 def test_detect_output_loads_in_eval(tmp_path, capsys):
     """Kaiming weights decode thousands of zero-area boxes; none is written."""
     rng = np.random.default_rng(0)

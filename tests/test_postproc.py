@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from maskdet import postproc
 from maskdet.anchors import FACE, MASK, encode, generate_anchors, iou
-from maskdet.model import Predictions, model_forward
+from maskdet.model import ModelConfig, Predictions, model_forward
 from maskdet.postproc import (Detection, detect, filter_confidence, nms,
                               orcc, postprocess, score_predictions,
                               softmax_rows)
@@ -219,6 +222,114 @@ def test_orcc_matches_fixed_point_oracle_across_slabs(thresh):
     want_f, want_m = orcc_fixed_point(faces, masks, thresh)
     assert [id(d) for d in got_f] == [id(d) for d in want_f]
     assert [id(d) for d in got_m] == [id(d) for d in want_m]
+
+
+# ------------------------------------- pair sweep against the slab sweep
+
+# each side of the density choice, forced; the last also splits the pairs
+# into many chunks, some of them one box's pairs over the budget
+SWEEP_SIDES = [("slabs", 0.0, postproc.PAIR_CHUNK),
+               ("pairs", 1.0, postproc.PAIR_CHUNK),
+               ("pairs in small chunks", 1.0, 97)]
+
+
+def hostile_scene(rng, count):
+    """``count`` boxes crowded around 30 centres with NaN, infinite,
+    inverted, zero-extent, duplicate and edge-touching rows among them."""
+    centres = rng.uniform(0, 300, (30, 2))
+    boxes = np.stack([d.box for d in clustered_detections(rng, FACE, count,
+                                                          centres)])
+    inf, nan = np.inf, np.nan
+    odd = np.array([[nan, 0, 10, 10], [0, nan, 10, 10], [0, 0, nan, 10],
+                    [0, 0, 10, nan], [-inf, 0, 10, 10], [0, 0, inf, 10],
+                    [-inf, -inf, inf, inf], [0, 0, inf, inf],
+                    [-inf, 40, inf, 60], [40, -inf, 60, inf],
+                    [30, 20, 10, 40], [20, 40, 40, 20],        # inverted
+                    [25, 25, 25, 45], [25, 25, 45, 25],        # zero extent
+                    [33, 33, 33, 33]])
+    picks = boxes[rng.choice(count, 40, replace=False)]
+    width, height = picks[:, 2] - picks[:, 0], picks[:, 3] - picks[:, 1]
+    right = picks.copy()                       # touching on the right edge
+    right[:, [0, 2]] = np.stack([picks[:, 2], picks[:, 2] + width], axis=1)
+    below = picks.copy()                       # touching on the bottom edge
+    below[:, [1, 3]] = np.stack([picks[:, 3], picks[:, 3] + height], axis=1)
+    duplicates = boxes[rng.choice(count, 40)]
+    scene = np.concatenate([boxes, odd, odd[:3], right, below, duplicates])
+    return scene[rng.permutation(len(scene))]
+
+
+def sweep_scenes(rng):
+    """Clustered (1 000 boxes), crowded (300 boxes on two centres) and
+    hostile (1 000 boxes plus odd ones) scenes, with tied scores."""
+    clustered = np.stack([d.box for d in clustered_detections(
+        rng, FACE, 1000, rng.uniform(0, 400, (40, 2)))])
+    crowded = np.stack([d.box for d in clustered_detections(
+        rng, FACE, 300, np.array([[50.0, 50.0], [60.0, 58.0]]))])
+    return {"clustered": clustered, "crowded": crowded,
+            "hostile": hostile_scene(rng, 1000)}
+
+
+@pytest.mark.parametrize("thresh", [0.0, 0.4, 0.5, 1.0])
+@pytest.mark.parametrize("scene", ["clustered", "crowded", "hostile"])
+def test_sweeps_match_oracles_on_both_sides_of_the_density_choice(
+        scene, thresh, monkeypatch):
+    rng = np.random.default_rng([7, int(thresh * 10)])
+    boxes = sweep_scenes(rng)[scene]
+    scores = rng.choice([0.3, 0.5, 0.7, 0.9], size=len(boxes))
+    half = len(boxes) // 2
+    faces = [Detection(b, FACE, float(c))
+             for b, c in zip(boxes[:half], scores[:half])]
+    masks = [Detection(b, MASK, float(c))
+             for b, c in zip(boxes[half:], scores[half:])]
+    masks += [Detection(f.box, MASK, f.confidence) for f in faces[::25]]
+    with np.errstate(invalid="ignore", over="ignore"):    # inf - inf
+        want_nms = nms_reference(boxes, scores, thresh)
+        want_f, want_m = orcc_fixed_point(faces, masks, thresh)
+    for side, share, chunk in SWEEP_SIDES:
+        monkeypatch.setattr(postproc, "DENSE_SHARE", share)
+        monkeypatch.setattr(postproc, "PAIR_CHUNK", chunk)
+        listed = postproc._pair_hits(boxes, boxes, thresh, same=True)
+        assert (listed is None) == (side == "slabs"), side
+        kept_b, kept_s = nms(boxes, scores, thresh)
+        np.testing.assert_array_equal(kept_b, boxes[want_nms], err_msg=side)
+        np.testing.assert_array_equal(kept_s, scores[want_nms], err_msg=side)
+        got_f, got_m = orcc(faces, masks, thresh)
+        assert [id(d) for d in got_f] == [id(d) for d in want_f], side
+        assert [id(d) for d in got_m] == [id(d) for d in want_m], side
+
+
+@pytest.mark.parametrize("scene", ["clustered", "crowded", "hostile"])
+def test_overlap_count_is_what_the_runs_list(scene):
+    # the density choice counts from sorted edges what the sweep would list
+    rng = np.random.default_rng(11)
+    boxes = sweep_scenes(rng)[scene]
+    half = len(boxes) // 2
+    for a, b, same in ((boxes, boxes, True),
+                       (boxes[:half], boxes[half:], False)):
+        valid_a = postproc._positive_rows(a)
+        valid_b = valid_a if same else postproc._positive_rows(b)
+        for axis in (0, 1):
+            runs = postproc._overlap_runs(a, b, valid_a, valid_b, axis, same)
+            listed = sum(int(run[3].sum()) for run in runs)
+            assert listed == postproc._overlap_count(a[valid_a], b[valid_b],
+                                                     axis, same)
+            assert all((run[3] >= 0).all() for run in runs)
+
+
+def test_postprocess_memory_is_bounded_at_zero_confidence_threshold():
+    # --tc 0: all 16 800 rows of a 640 prediction reach NMS in both classes
+    anchors = generate_anchors(ModelConfig(input_size=640))
+    rng = np.random.default_rng(0)
+    pred = Predictions(rng.normal(0, 0.5, (16800, 4)).astype(np.float32),
+                       rng.normal(0, 1, (16800, 3)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        dets = postprocess(pred, anchors, 640.0, conf_thresh=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dets) > 1000
+    assert peak <= 16e6
 
 
 def test_orcc_no_surviving_cross_overlap():
