@@ -10,11 +10,18 @@ float64.
 
 Convolution here is cross-correlation (no kernel flip), padding is always
 zero-padding, and there is no autodiff: the network is inference-only.
-All functions are pure and safe to call from multiple threads.  ``conv2d``
-may hand bands of output rows to helper threads, but every call has its own
-output, band counter and buffers, runs its own bands until none is left and
-returns only after its last band has stopped, so concurrent calls share only
-the helpers and cannot deadlock on them.
+All functions are pure and safe to call from multiple threads.
+
+Work is shared with the process's helper threads by one rule,
+:func:`side_by_side`: a caller offers calls to the helpers, runs the first
+call itself, then takes back and runs every offered call that no helper has
+started, and waits only for the calls that a helper is already running.
+``conv2d`` shares its bands this way, and the model runs detection heads
+side by side this way.  No thread ever waits for a call still queued for a
+helper, only for one that a helper is running, and that call in turn waits
+only for calls that it offered itself.  So calls nested inside offered
+calls cannot deadlock on the helpers, even when a helper thread makes them
+while every helper is busy.
 """
 
 from __future__ import annotations
@@ -174,6 +181,40 @@ def _helper_pool(threads: int):
         return _pool[2]
 
 
+def side_by_side(*calls) -> list:
+    """Run the argument-less ``calls`` and return their results in call order.
+
+    When conv2d's bands have more than one worker, every call but the first
+    is offered to the helper pool.  The caller runs the first call, then
+    each offered call that no helper has started: it cancels that offer and
+    runs the call itself.  Last, it waits for the calls that helpers are
+    running.  When a call raises, every offer that no helper has started is
+    cancelled and never runs, and the error reaches the caller only after
+    every started call has stopped.  With one worker the calls run in order
+    on the caller.
+    """
+    workers = _band_workers()
+    if workers == 1 or len(calls) < 2:
+        return [call() for call in calls]
+    pool = _helper_pool(workers - 1)
+    futures = [pool.submit(call) for call in calls[1:]]
+    results = [None] * len(calls)
+    try:
+        results[0] = calls[0]()
+        for i, future in enumerate(futures, start=1):
+            if future.cancel():
+                results[i] = calls[i]()
+    finally:
+        # cancel every offer before waiting, so that none starts meanwhile
+        started = [future for future in futures if not future.cancel()]
+        for future in started:
+            future.exception()         # waits: no call outlives this one
+    for i, future in enumerate(futures, start=1):
+        if not future.cancelled():
+            results[i] = future.result()
+    return results
+
+
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """2-D cross-correlation of an NCHW tensor with a weight kernel.
 
@@ -191,8 +232,10 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
 
     When BLAS runs one thread, the workers are the caller plus a helper
     thread for each further CPU this process may use, and a call of two or
-    more bands claims them one at a time from a shared counter on every
-    worker; otherwise the caller runs every band.  The call returns or
+    more bands runs one loop per worker through :func:`side_by_side`; each
+    loop claims bands one at a time from a shared counter, so a loop that no
+    helper has started before the caller's loop ends finds no band left.
+    Otherwise the caller runs every band.  The call returns or
     raises only once all its bands have stopped, and an error in any band
     reaches the caller.  Bands split only the columns of the matmul, but
     OpenBLAS's dgemm may sum in another order when a call's column count
@@ -260,19 +303,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
                 acc += bias
             out[:, :, top:top + rows] = acc
 
-    helpers = min(workers, len(tops)) - 1
-    if helpers < 1:
-        run_bands()
-        return out
-    pool = _helper_pool(workers - 1)
-    futures = [pool.submit(run_bands) for _ in range(helpers)]
-    try:
-        run_bands()
-    finally:
-        for future in futures:
-            future.exception()         # waits: no band outlives the call
-    for future in futures:
-        future.result()
+    side_by_side(*[run_bands] * min(workers, len(tops)))
     return out
 
 
@@ -333,22 +364,40 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return (np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(np.float32)
 
 
+# The row helpers below reduce over the last axis one column at a time, with
+# elementwise float64 ufuncs over all rows: numpy's max and sum over a short
+# last axis cost far more per row.  The maximum is exact in any order.  The
+# sum adds the columns left to right, which is the order of numpy's
+# ``sum(axis=-1)`` for rows of up to seven values, so for those widths both
+# give the same bits.
+
 def _max_shifted(logits: np.ndarray) -> np.ndarray:
     """float64 logits minus their last-axis maximum, so exp cannot overflow."""
     z = np.asarray(logits, dtype=np.float64)
-    return z - z.max(axis=-1, keepdims=True)
+    top = z[..., 0].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j], out=top)
+    return z - top[..., None]
+
+
+def _row_sums(e: np.ndarray) -> np.ndarray:
+    """Last-axis sums of ``e``, kept as a trailing axis of length 1."""
+    total = e[..., 0].copy()
+    for j in range(1, e.shape[-1]):
+        total += e[..., j]
+    return total[..., None]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, float64 result."""
     e = np.exp(_max_shifted(logits))
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _row_sums(e)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log softmax over the last axis, float64 result."""
     z = _max_shifted(logits)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z - np.log(_row_sums(np.exp(z)))
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:

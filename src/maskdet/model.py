@@ -24,8 +24,8 @@ from .anchors import ANCHOR_SIDE_SCALES
 # add_scaled and upsample_nearest are not called here, since the FPN merge
 # runs in place, but bench/tracer.py wraps both by name in this namespace.
 from .kernels import (ConvParams, Tensor, activate, add_scaled,  # noqa: F401
-                      concat_channels, conv2d, global_pool, linear, sigmoid,
-                      upsample_nearest)
+                      concat_channels, conv2d, global_pool, linear,
+                      side_by_side, sigmoid, upsample_nearest)
 
 # (in_channels, out_channels) of the five backbone stages; taps after the
 # last three give pyramid inputs at strides 8, 16 and 32
@@ -322,17 +322,26 @@ def flatten_head_map(head_map: Tensor, anchors_per_cell: int) -> np.ndarray:
 def model_forward(model: Model, image: Tensor) -> Predictions:
     """Full forward pass: backbone, FPN, per-level heads, canonical flattening.
 
-    Each level's loc and cls 1x1 convolutions run as one fused convolution
-    whose output is split by channel at 4*A.
+    A level's head is its context module followed by its loc and cls 1x1
+    convolutions, run as one fused convolution whose output is split by
+    channel at 4*A.  Once the pyramid exists, heads 1 and 2 run one after
+    the other beside head 0 through ``kernels.side_by_side``, on a helper
+    thread when there is more than one worker; each head's arithmetic is
+    unchanged, so the predictions are the same bits.
     """
     a = model.config.anchors_per_cell
     taps = backbone_forward(model, image)
     pyramid = fpn_forward(model, taps)
-    loc_rows, cls_rows = [], []
-    for lvl, feat in enumerate(pyramid):
-        refined = context_attention_forward(model, feat, lvl)
-        head_map = conv2d(refined, model.fused_conv_params(
+
+    def head(lvl):
+        refined = context_attention_forward(model, pyramid[lvl], lvl)
+        return conv2d(refined, model.fused_conv_params(
             [f"head{lvl}.loc", f"head{lvl}.cls"]))
+
+    first, rest = side_by_side(
+        lambda: head(0), lambda: [head(lvl) for lvl in range(1, len(pyramid))])
+    loc_rows, cls_rows = [], []
+    for head_map in [first, *rest]:
         loc_map, cls_map = np.split(head_map, [4 * a], axis=1)
         loc_rows.append(flatten_head_map(loc_map, a))
         cls_rows.append(flatten_head_map(cls_map, a))

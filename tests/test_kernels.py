@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maskdet import kernels, model as model_module
 from maskdet.kernels import (ConvParams, activate, add_scaled,
@@ -409,6 +410,137 @@ def test_pooled_conv_runs_in_a_forked_child():
     assert np.array_equal(got, serial)
 
 
+def test_pooled_conv_called_on_a_helper_thread():
+    # a conv2d running on the only helper offers it a band loop, which must
+    # not wait behind the call that the helper is running
+    x, params = odd_band_case(*ODD_BAND_CASES[0][:5])
+    serial = conv_on_workers(x, params, ONE_BAND, 1)
+    with mock.patch.object(kernels, "_band_workers", lambda: 2):
+        with mock.patch.object(kernels, "BAND_BYTES", TINY_BANDS):
+            future = kernels._helper_pool(1).submit(conv2d, x, params)
+            got = future.result(timeout=10)
+    assert np.array_equal(got, serial)
+
+
+# ------------------------------------------------------------ side_by_side
+
+def side_by_side_on(workers, *calls):
+    with mock.patch.object(kernels, "_band_workers", lambda: workers):
+        return kernels.side_by_side(*calls)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_side_by_side_returns_results_in_call_order(workers):
+    def call(i, delay):
+        def run():
+            time.sleep(delay)
+            return i
+        return run
+
+    # the first call is the slowest, so helpers start the others
+    calls = [call(i, delay) for i, delay in enumerate((0.05, 0.02, 0, 0.01))]
+    assert side_by_side_on(workers, *calls) == [0, 1, 2, 3]
+    assert side_by_side_on(workers) == []
+    assert side_by_side_on(workers, calls[3]) == [3]
+
+
+def test_side_by_side_runs_in_order_on_the_caller_with_one_worker():
+    ran = []
+
+    def call(i):
+        def run():
+            ran.append((i, threading.get_ident()))
+            return i
+        return run
+
+    assert side_by_side_on(1, call(0), call(1), call(2)) == [0, 1, 2]
+    assert ran == [(i, threading.get_ident()) for i in range(3)]
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_side_by_side_error_reaches_caller_after_the_other_call_stops(failing):
+    other_started = threading.Event()
+    other_done = []
+
+    def fails():
+        other_started.wait(timeout=10)
+        raise RuntimeError("call failed")
+
+    def other():
+        other_started.set()
+        time.sleep(0.05)
+        other_done.append(True)
+
+    calls = (fails, other) if failing == 0 else (other, fails)
+    with pytest.raises(RuntimeError, match="call failed"):
+        side_by_side_on(2, *calls)
+    assert other_done == [True]
+
+
+def test_side_by_side_runs_no_call_after_an_error():
+    # one helper: it runs the second call while the first fails, so the
+    # third is never started, and it stays cancelled
+    lock = threading.Lock()
+    started, running = [], []
+    second_started = threading.Event()
+
+    def call(i):
+        def run():
+            with lock:
+                started.append(i)
+                running.append(i)
+            try:
+                if i == 0:
+                    second_started.wait(timeout=10)
+                    raise RuntimeError("first call failed")
+                second_started.set()
+                time.sleep(0.05)
+            finally:
+                with lock:
+                    running.remove(i)
+        return run
+
+    with pytest.raises(RuntimeError, match="first call failed"):
+        side_by_side_on(2, call(0), call(1), call(2))
+    assert running == []
+    time.sleep(0.1)
+    assert sorted(started) == [0, 1]
+
+
+@pytest.fixture(scope="module")
+def reference_model_and_image():
+    config = ModelConfig()
+    model = build_model(config, init_reference_weights(config, seed=3))
+    return model, rand((1, 3, 640, 640), seed=22, scale=50.0)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_heads_side_by_side_match_heads_in_turn(reference_model_and_image,
+                                                workers):
+    # with 3 workers the heads take one helper and conv2d's bands the other
+    model, image = reference_model_and_image
+    with mock.patch.object(kernels, "_band_workers", lambda: 1):
+        want = model_forward(model, image)
+    real_head = model_module.context_attention_forward
+    head_started = [threading.Event() for _ in range(3)]
+    head_threads = {}
+
+    def head(model, feature, level):
+        head_threads[level] = threading.current_thread()
+        head_started[level].set()
+        if level == 0:       # head 1 must start on a helper meanwhile
+            assert head_started[1].wait(timeout=10)
+        return real_head(model, feature, level)
+
+    with mock.patch.object(model_module, "context_attention_forward", head):
+        with mock.patch.object(kernels, "_band_workers", lambda: workers):
+            got = model_forward(model, image)
+    assert head_threads[0] is threading.current_thread()
+    assert head_threads[1] is head_threads[2] is not head_threads[0]
+    assert np.array_equal(got.loc, want.loc)
+    assert np.array_equal(got.cls, want.cls)
+
+
 # ---------------------------------------------------------------- pooling
 
 def test_pool_max_2x2_fixture():
@@ -527,6 +659,45 @@ def test_sigmoid_equals_per_branch_formula():
 def test_activate_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         activate(rand((1, 1, 1, 1)), "tanh")
+
+
+# ------------------------------------------------------------- row softmax
+
+def softmax_by_reductions(logits):
+    """Softmax and log softmax by numpy's max and sum over the last axis."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return (e / e.sum(axis=-1, keepdims=True),
+            z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == np.float64 and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+LOGIT_EXTREMES = (0.0, -0.0, 1e308, -1e308, np.inf, -np.inf, np.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+       width=st.sampled_from([3, 1, 2, 4, 5, 6, 7]), float32=st.booleans(),
+       data=st.data())
+def test_row_softmax_matches_axis_reductions(lead, width, float32, data):
+    # (n, 3) is every caller's shape, 1-D vectors are cross_entropy's; numpy
+    # sums up to seven values left to right, as the column-wise form does
+    values = st.one_of(st.floats(-60, 60), st.sampled_from(LOGIT_EXTREMES),
+                       st.floats())
+    logits = data.draw(hnp.arrays(np.float64, lead + (width,), elements=values))
+    with np.errstate(all="ignore"):
+        if float32:
+            logits = logits.astype(np.float32)
+        want_p, want_log = softmax_by_reductions(logits)
+        assert_same_bits(kernels.softmax_rows(logits), want_p)
+        assert_same_bits(kernels.log_softmax(logits), want_log)
 
 
 # --------------------------------------------------------------- upsample
