@@ -10,8 +10,10 @@ Schema::
 
 Serialization is canonical: compact separators, keys in the order shown,
 floats rendered with six decimal places and a trailing newline, so equal
-data always produces byte-identical files.  Files are checked and written
-one image at a time, with the image's boxes as one ``(k, 4)`` array.  The
+data always produces byte-identical files.  In memory an image is an
+:class:`ImageRecord` that holds its objects as aligned arrays (labels,
+``(k, 4)`` boxes and confidences), and files are checked and written one
+such record at a time; a record without confidences writes 0.  The
 readers require ``width`` and ``height`` to be integers of at least 1 and
 every box value and confidence to be a JSON number (never a string, bool
 or null), clip boxes to the extents and reject non-finite numbers (an
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,40 +43,21 @@ class AnnotationError(ValueError):
 
 
 @dataclass
-class AnnotatedObject:
-    label: int                       # FACE or MASK
-    box: np.ndarray                  # (4,) float64 corner form
-    confidence: float | None = None  # present in detection files
-
-
-@dataclass
 class ImageRecord:
+    """One image's objects as aligned arrays, row by row: ``labels`` is
+    ``(k,)`` int64 (FACE or MASK), ``boxes`` is ``(k, 4)`` float64 corner
+    form and ``confidences`` is ``(k,)`` float64, or None in an annotation
+    file."""
+
     image_id: str
     width: int
     height: int
-    objects: list[AnnotatedObject]
-    # the loader's (k,) labels, (k, 4) boxes and (k,) confidences (None in
-    # an annotation file), aligned with ``objects``; a record made without
-    # them rebuilds each array from ``objects``
-    arrays: tuple | None = field(default=None, repr=False, compare=False)
+    labels: np.ndarray
+    boxes: np.ndarray
+    confidences: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.objects)
-
-    def labels(self) -> np.ndarray:
-        if self.arrays is not None:
-            return self.arrays[0]
-        return np.array([o.label for o in self.objects], dtype=np.int64)
-
-    def boxes(self) -> np.ndarray:
-        if self.arrays is not None:
-            return self.arrays[1]
-        return np.reshape([o.box for o in self.objects], (-1, 4))
-
-    def confidences(self) -> np.ndarray:
-        if self.arrays is not None and self.arrays[2] is not None:
-            return self.arrays[2]
-        return np.array([o.confidence for o in self.objects], dtype=np.float64)
+        return len(self.labels)
 
 
 def _clip_boxes(boxes: np.ndarray, width, height):
@@ -226,12 +209,8 @@ def _parse_image(entry, with_confidence: bool) -> ImageRecord:
         scores = _floats(confidences)
         reject(np.isfinite(scores),
                lambda i: f"non-finite confidence {scores[i]}")
-        confidences = scores.tolist()
-    else:
-        confidences = [None] * len(labels)
-    objects = [AnnotatedObject(*f) for f in zip(labels, clipped, confidences)]
-    return ImageRecord(image_id, width, height, objects,
-                       (np.array(labels, dtype=np.int64), clipped, scores))
+    return ImageRecord(image_id, width, height,
+                       np.array(labels, dtype=np.int64), clipped, scores)
 
 
 def _load(path, with_confidence: bool) -> list[ImageRecord]:
@@ -274,17 +253,17 @@ def serialize_detections(records: list[ImageRecord]) -> str:
     """
     image_parts = []
     for rec in records:
-        boxes = rec.boxes()
-        confs = [0.0 if o.confidence is None else o.confidence
-                 for o in rec.objects]
-        if not (np.isfinite(boxes).all() and np.isfinite(confs).all()):
+        confs = (np.zeros(len(rec)) if rec.confidences is None
+                 else rec.confidences)
+        if not (np.isfinite(rec.boxes).all() and np.isfinite(confs).all()):
             raise AnnotationError(f"image '{rec.image_id}': cannot write a "
                                   f"non-finite box or confidence")
-        object_parts = [f'{{"class":"{CLASS_NAMES[obj.label]}",'
+        object_parts = [f'{{"class":"{CLASS_NAMES[label]}",'
                         f'"box":[{",".join(map(_fmt, box))}],'
                         f'"confidence":{_fmt(conf)}}}'
-                        for obj, box, conf in zip(rec.objects, boxes.tolist(),
-                                                  confs)]
+                        for label, box, conf in zip(rec.labels.tolist(),
+                                                    rec.boxes.tolist(),
+                                                    confs.tolist())]
         image_id = json.dumps(rec.image_id, ensure_ascii=False)
         image_parts.append(f'{{"id":{image_id},'
                            f'"width":{rec.width},"height":{rec.height},'

@@ -22,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotations import (CLASS_NAMES, AnnotatedObject, ImageRecord,
-                          load_annotations, load_detections, loads_back,
-                          save_detections)
+from .annotations import (CLASS_NAMES, ImageRecord, load_annotations,
+                          load_detections, loads_back, save_detections)
 from .anchors import FACE, MASK, generate_anchors
 from .evaluate import (DEFAULT_EVAL_IOU, EvalCounts, match_for_eval,
                        precision_recall)
@@ -145,9 +144,11 @@ def _cmd_detect(args) -> int:
         scale = np.array([width / config.input_size,
                           height / config.input_size] * 2)
         boxes = np.reshape([d.box for d in dets], (-1, 4)) * scale
-        objects = [AnnotatedObject(d.label, box, d.confidence) for d, box, ok
-                   in zip(dets, boxes, loads_back(boxes, width, height)) if ok]
-        records.append(ImageRecord(path.stem, width, height, objects))
+        ok = loads_back(boxes, width, height)
+        labels = np.array([d.label for d in dets], dtype=np.int64)
+        confidences = np.array([d.confidence for d in dets], dtype=np.float64)
+        records.append(ImageRecord(path.stem, width, height, labels[ok],
+                                   boxes[ok], confidences[ok]))
     save_detections(records, args.out)
     return 0
 
@@ -169,7 +170,7 @@ def _cmd_eval(args) -> int:
                              f"{pred.width}x{pred.height} but ground truth is "
                              f"{gt.width}x{gt.height}")
         dets = pred if pred is not None else []
-        totals = totals + match_for_eval(dets, gt.labels(), gt.boxes(),
+        totals = totals + match_for_eval(dets, gt.labels, gt.boxes,
                                          iou_thresh=args.iou)
     metrics = precision_recall(totals)
     report = {"iou_threshold": args.iou, "classes": {}}

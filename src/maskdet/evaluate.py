@@ -56,19 +56,20 @@ def match_for_eval(detections, gt_labels, gt_boxes,
                    iou_thresh: float = DEFAULT_EVAL_IOU) -> EvalCounts:
     """Count TP/FP/FN for one image's detections against its annotations.
 
-    ``detections`` is a list of objects with box/label/confidence, or a
-    loaded :class:`~maskdet.annotations.ImageRecord`, whose arrays are used
-    as they are; ``gt_labels`` and ``gt_boxes`` are aligned arrays of class
-    labels and corner-form boxes.  Each class's detections are ranked by
-    descending confidence, ties in list order.  Only detections with an IoU
-    at or above the threshold can claim, so only those rows of
-    ``iou_matrix`` are visited.
+    ``detections`` is a list of objects with box/label/confidence, such as
+    :class:`~maskdet.postproc.Detection`, or an
+    :class:`~maskdet.annotations.ImageRecord` with confidences, whose
+    arrays are used as they are; ``gt_labels`` and ``gt_boxes`` are aligned
+    arrays of class labels and corner-form boxes.  Each class's detections
+    are ranked by descending confidence, ties in list order.  Only
+    detections with an IoU at or above the threshold can claim, so only
+    those rows of ``iou_matrix`` are visited.
     """
     gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     if isinstance(detections, ImageRecord):
-        labels, boxes = detections.labels(), detections.boxes()
-        confidences = detections.confidences()
+        labels, boxes = detections.labels, detections.boxes
+        confidences = detections.confidences
     else:
         labels = np.array([d.label for d in detections], dtype=np.int64)
         confidences = np.array([d.confidence for d in detections],

@@ -38,13 +38,15 @@ def load_ppm(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated PPM header")
         return data[start:pos]
 
-    def next_int(field):
+    def next_int(field):    # ASCII decimal digits, with an optional "-"
         token = next_token()
         try:
-            return int(token)
-        except ValueError:
-            raise ValueError(f"{path}: PPM {field} must be an integer, got "
-                             f"{token!r}") from None
+            if token.removeprefix(b"-").isdigit():
+                return int(token)
+        except ValueError:      # more digits than int() reads
+            pass
+        raise ValueError(f"{path}: PPM {field} must be an integer, got "
+                         f"{token!r}")
 
     magic = next_token()
     if magic != b"P6":

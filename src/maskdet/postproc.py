@@ -99,20 +99,6 @@ def _positive_rows(boxes: np.ndarray) -> np.ndarray:
                           & (boxes[:, 1] < boxes[:, 3]))
 
 
-def _overlap_count(a: np.ndarray, b: np.ndarray, axis: int,
-                   same: bool) -> int:
-    """How many pairs :func:`_overlap_runs` lists on ``axis`` for boxes
-    ``a`` and ``b`` that all have positive extents, from sorted edges."""
-    lo_b = np.sort(b[:, axis])
-    count = int(np.searchsorted(lo_b, np.sort(a[:, axis + 2])).sum())
-    if same:
-        return count - len(a) * (len(a) + 1) // 2
-    lo_a = np.sort(a[:, axis])
-    return (count - int(np.searchsorted(lo_b, lo_a).sum())
-            + int(np.searchsorted(lo_a, np.sort(b[:, axis + 2])).sum())
-            - int(np.searchsorted(lo_a, lo_b, "right").sum()))
-
-
 def _overlap_runs(a: np.ndarray, b: np.ndarray, valid_a: np.ndarray,
                   valid_b: np.ndarray, axis: int, same: bool):
     """Runs of the pairs of rows ``valid_a`` of ``a`` and ``valid_b`` of
@@ -177,19 +163,18 @@ def _pair_hits(a: np.ndarray, b: np.ndarray, thresh: float, same: bool):
         return None
     valid_a = _positive_rows(a)
     valid_b = valid_a if same else _positive_rows(b)
-    edges_a = a[valid_a]
-    edges_b = edges_a if same else b[valid_b]
-    listed = [_overlap_count(edges_a, edges_b, axis, same) for axis in (0, 1)]
+    by_axis = [_overlap_runs(a, b, valid_a, valid_b, axis, same)
+               for axis in (0, 1)]
+    listed = [sum(int(run[3].sum()) for run in runs) for runs in by_axis]
     axis = int(np.argmin(listed))
     if listed[axis] > DENSE_SHARE * (len(a) * (len(a) - 1) // 2 if same
                                      else len(a) * len(b)):
         return None
-    runs = _overlap_runs(a, b, valid_a, valid_b, axis, same)
     o = 1 - axis
     coords_a = np.ascontiguousarray(a.T)      # coordinate first, for iou_pairs
     coords_b = coords_a if same else np.ascontiguousarray(b.T)
     keys = [np.zeros(0, dtype=np.intp)]
-    for owners, pool, firsts, counts, owners_in_a in runs:
+    for owners, pool, firsts, counts, owners_in_a in by_axis[axis]:
         mine, theirs = (a, b) if owners_in_a else (b, a)
         own_lo, own_hi = mine[owners, o], mine[owners, o + 2]
         spans = theirs[pool][:, [o, o + 2]]     # low, high edge on axis o

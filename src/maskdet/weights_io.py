@@ -71,13 +71,13 @@ def load_weights(path) -> dict[str, np.ndarray]:
         if (not isinstance(entry, dict)
                 or not isinstance(entry.get("name"), str)
                 or not isinstance(entry.get("shape"), list)
-                or not isinstance(entry.get("offset"), int)):
+                or type(entry.get("offset")) is not int):
             raise WeightsFormatError(f"malformed manifest entry: {entry!r}")
         name = entry["name"]
         if name in store:
             raise WeightsFormatError(f"duplicate tensor name '{name}'")
         shape = tuple(entry["shape"])
-        if any(not isinstance(s, int) or s < 0 for s in shape):
+        if any(type(s) is not int or s < 0 for s in shape):
             raise WeightsFormatError(f"invalid shape {shape} for '{name}'")
         if entry["offset"] != expected_offset:
             raise WeightsFormatError(f"tensor '{name}' at offset "

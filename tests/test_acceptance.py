@@ -27,7 +27,7 @@ from maskdet.model import (ModelConfig, build_model, channel_attention,
 from maskdet.postproc import Detection, nms, orcc
 from maskdet.selftest import random_conv_case, random_detections
 from maskdet.weights_io import WeightsFormatError, load_weights, save_weights
-from maskdet.annotations import (AnnotatedObject, AnnotationError, ImageRecord,
+from maskdet.annotations import (AnnotationError, ImageRecord,
                                  load_annotations, load_detections,
                                  save_detections)
 from maskdet.oracles import (naive_pool2d, naive_upsample, nms_reference,
@@ -362,10 +362,10 @@ def test_formats_criterion(tmp_path):
     except WeightsFormatError as exc:
         check(failures, "malformed" in str(exc), "malformed error not named")
 
-    records = [ImageRecord("img", 64, 48, [
-        AnnotatedObject(FACE, np.array([1.0, 2.0, 30.0, 40.0]), 0.875),
-        AnnotatedObject(MASK, np.array([5.0, 5.0, 20.0, 20.0]), 0.625),
-    ])]
+    records = [ImageRecord("img", 64, 48, np.array([FACE, MASK]),
+                           np.array([[1.0, 2.0, 30.0, 40.0],
+                                     [5.0, 5.0, 20.0, 20.0]]),
+                           np.array([0.875, 0.625]))]
     dpath = tmp_path / "d.json"
     save_detections(records, dpath)
     dpath2 = tmp_path / "d2.json"

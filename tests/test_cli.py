@@ -259,6 +259,47 @@ def test_detect_goes_through_the_benchmark_hooks(tmp_path, monkeypatch):
     assert [image["id"] for image in images] == ["a", "b"]
 
 
+def test_benchmark_tracer_installs_on_a_detect_and_eval_run(tmp_path,
+                                                            monkeypatch):
+    """The benchmark's tracer wraps maskdet functions by name; a renamed or
+    removed one would break every traced benchmark run."""
+    import maskdet.cli
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    from tracer import Tracer
+
+    images = tmp_path / "images"
+    images.mkdir()
+    rng = np.random.default_rng(2)
+    for stem in ("a", "b"):
+        save_ppm(images / f"{stem}.ppm",
+                 rng.integers(0, 256, (40, 56, 3), dtype=np.uint8))
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps({"images": [
+        {"id": stem, "width": 56, "height": 40, "objects": []}
+        for stem in ("a", "b")]}))
+    weights, dets = tmp_path / "w.rfmw", tmp_path / "dets.json"
+    tracer = Tracer(seed=0)
+    try:
+        tracer.install(maskdet)
+        assert main(["init-weights", "--out", str(weights), "--seed", "3"]) == 0
+        assert main(["detect", "--weights", str(weights), "--input",
+                     str(images), "--out", str(dets), "--size", "64",
+                     "--tc", "0.05"]) == 0
+        assert main(["eval", "--pred", str(dets), "--gt", str(gt)]) == 0
+    finally:
+        tracer.restore()
+    names = {span[0] for span in tracer.spans}
+    assert {"annotations.serialize_detections",
+            "evaluate.match_for_eval"} <= names
+    written = sum(len(image["objects"])
+                  for image in json.loads(dets.read_text())["images"])
+    matched = sum(value for (_, name), value in tracer.counters.items()
+                  if name == "dets_matched")
+    assert written > 0 and matched == written
+    assert maskdet.cli.run_detect is maskdet.postproc.detect
+
+
 def test_detect_output_loads_in_eval(tmp_path, capsys):
     """Kaiming weights decode thousands of zero-area boxes; none is written."""
     rng = np.random.default_rng(0)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from maskdet.anchors import FACE, MASK
-from maskdet.annotations import (AnnotatedObject, ImageRecord,
-                                 load_annotations, load_detections,
-                                 save_detections)
+from maskdet.annotations import (ImageRecord, load_annotations,
+                                 load_detections, save_detections)
 from maskdet.evaluate import (ClassCounts, EvalCounts, match_for_eval,
                               precision_recall)
 from maskdet.oracles import match_eval_reference
@@ -93,28 +92,26 @@ def test_matching_equals_scalar_reference_on_crowded_scenes(seed, thresh):
 
 @pytest.mark.parametrize("thresh", [0.3, 0.5])
 def test_match_on_a_loaded_record_uses_its_arrays(tmp_path, thresh):
-    # the loader's arrays are what the record's objects would rebuild, and
-    # matching the record counts what matching its objects counts
+    # matching a loaded record counts what matching its rows as Detections
+    # counts
     rng = np.random.default_rng(4)
     centres = rng.uniform(20, 180, (8, 2))
-    objects = [AnnotatedObject(int(label), d.box, d.confidence) for d, label
-               in zip(clustered_detections(rng, FACE, 90, centres),
-                      rng.choice([FACE, MASK], 90))]
+    dets = clustered_detections(rng, FACE, 90, centres)
     path = tmp_path / "dets.json"
-    save_detections([ImageRecord("a", 200, 200, objects),
-                     ImageRecord("b", 200, 200, [])], path)
+    save_detections([ImageRecord("a", 200, 200, rng.choice([FACE, MASK], 90),
+                                 np.stack([d.box for d in dets]),
+                                 np.array([d.confidence for d in dets])),
+                     ImageRecord("b", 200, 200, np.zeros(0, dtype=np.int64),
+                                 np.zeros((0, 4)), np.zeros(0))], path)
     gt_boxes = np.stack([g.box for g in
                          clustered_detections(rng, FACE, 40, centres)])
     gt_labels = rng.choice([FACE, MASK], 40)
     for rec in load_detections(path):
-        assert len(rec) == len(rec.objects)
-        rebuilt = ImageRecord(rec.image_id, rec.width, rec.height, rec.objects)
-        np.testing.assert_array_equal(rec.labels(), rebuilt.labels())
-        np.testing.assert_array_equal(rec.boxes().reshape(-1, 4),
-                                      rebuilt.boxes())
-        np.testing.assert_array_equal(rec.confidences(), rebuilt.confidences())
+        rows = [Detection(box, label, conf) for label, box, conf
+                in zip(rec.labels.tolist(), rec.boxes, rec.confidences.tolist())]
+        assert len(rec) == len(rows)
         assert (match_for_eval(rec, gt_labels, gt_boxes, thresh)
-                == match_for_eval(rec.objects, gt_labels, gt_boxes, thresh))
+                == match_for_eval(rows, gt_labels, gt_boxes, thresh))
 
 
 def test_empty_everything():

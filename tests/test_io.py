@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskdet.annotations import (AnnotatedObject, AnnotationError, ImageRecord,
-                                 load_annotations, load_detections, loads_back,
-                                 save_detections, serialize_detections)
+from maskdet.annotations import (AnnotationError, ImageRecord, load_annotations,
+                                 load_detections, loads_back, save_detections,
+                                 serialize_detections)
 from maskdet.anchors import FACE, MASK
 from maskdet.images import load_image, load_ppm, preprocess, resize_nearest, save_ppm
 from maskdet.weights_io import (MAGIC, WeightsFormatError, load_weights,
@@ -124,6 +125,17 @@ def test_weights_non_contiguous_offset(tmp_path):
         load_weights(path)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"name": "a", "shape": [True, 2], "offset": 0}, "invalid shape .* for 'a'"),
+    ({"name": "a", "shape": [2], "offset": False}, "malformed manifest entry"),
+])
+def test_weights_manifest_booleans_are_not_integers(tmp_path, entry, message):
+    path = tmp_path / "bool.rfmw"
+    path.write_bytes(craft_container([entry], b"\x00" * 8))
+    with pytest.raises(WeightsFormatError, match=message):
+        load_weights(path)
+
+
 def test_weights_truncated_header(tmp_path):
     path = tmp_path / "tiny.rfmw"
     path.write_bytes(b"RFMW\x10")
@@ -192,12 +204,24 @@ def test_ppm_non_positive_extent_rejected(tmp_path, extents):
 
 @pytest.mark.parametrize("header, field", [(b"x 5\n255", "width"),
                                            (b"5 x\n255", "height"),
-                                           (b"5 5\nx", "maxval")])
+                                           (b"5 5\nx", "maxval"),
+                                           (b"1_0 +2\n255", "width"),
+                                           (b"10 +2\n255", "height")])
 def test_ppm_non_integer_header_field_names_file(tmp_path, header, field):
+    # int() would read "1_0" as 10 and "+2" as 2; a header takes digits only
     path = tmp_path / "n.ppm"
     path.write_bytes(b"P6\n" + header + b"\n" + bytes(75))
-    with pytest.raises(ValueError, match=f"n.ppm: PPM {field} must be an "
-                                         f"integer, got b'x'"):
+    token = header.split()[["width", "height", "maxval"].index(field)]
+    with pytest.raises(ValueError, match=re.escape(
+            f"n.ppm: PPM {field} must be an integer, got {token!r}")):
+        load_ppm(path)
+
+
+def test_ppm_header_integer_beyond_digit_limit_names_file(tmp_path):
+    path = tmp_path / "long.ppm"
+    path.write_bytes(b"P6\n" + b"9" * 5000 + b" 5\n255\n" + bytes(75))
+    with pytest.raises(ValueError, match="long.ppm: PPM width must be an "
+                                         "integer, got b'9999"):
         load_ppm(path)
 
 
@@ -271,8 +295,9 @@ def test_annotations_happy_path(tmp_path):
     assert len(recs) == 1
     rec = recs[0]
     assert rec.image_id == "img0" and rec.width == 100
-    assert rec.labels().tolist() == [FACE, MASK]
-    np.testing.assert_array_equal(rec.boxes()[0], [1, 2, 30, 40])
+    assert rec.labels.dtype == np.int64 and rec.labels.tolist() == [FACE, MASK]
+    np.testing.assert_array_equal(rec.boxes[0], [1, 2, 30, 40])
+    assert rec.confidences is None and len(rec) == 2
 
 
 def test_annotations_unknown_class_names_image(tmp_path):
@@ -297,9 +322,11 @@ def test_annotations_box_clipped_to_extents(tmp_path):
     doc = ann_doc([{"class": "face", "box": [-5, -5, 120, 90]},
                    {"class": "mask", "box": [5, 1, 150, 40]}])
     rec = load_annotations(write_json(tmp_path, doc))[0]
-    assert rec.boxes().dtype == np.float64
-    np.testing.assert_array_equal(rec.boxes(), [[0, 0, 100, 80], [5, 1, 100, 40]])
-    assert ImageRecord("e", 1, 1, []).boxes().shape == (0, 4)
+    assert rec.boxes.dtype == np.float64
+    np.testing.assert_array_equal(rec.boxes, [[0, 0, 100, 80], [5, 1, 100, 40]])
+    empty = load_detections(write_json(tmp_path, ann_doc([]), "e.json"))[0]
+    assert empty.labels.shape == (0,) and empty.labels.dtype == np.int64
+    assert empty.boxes.shape == (0, 4) and empty.confidences.shape == (0,)
 
 
 def test_annotations_fully_outside_box_rejected(tmp_path):
@@ -320,10 +347,10 @@ def test_loads_back_agrees_with_loader(tmp_path, box, ok):
     mask = loads_back(boxes, 100, 80)
     assert mask.shape == (1,) and mask.dtype == bool and mask[0] == ok
     path = tmp_path / "d.json"
-    save_detections([ImageRecord("img0", 100, 80,
-                                 [AnnotatedObject(FACE, boxes[0], 0.5)])], path)
+    save_detections([ImageRecord("img0", 100, 80, np.array([FACE]), boxes,
+                                 np.array([0.5]))], path)
     if ok:
-        assert len(load_detections(path)[0].objects) == 1
+        assert len(load_detections(path)[0]) == 1
     else:
         with pytest.raises(AnnotationError, match="img0.*degenerate"):
             load_detections(path)
@@ -489,11 +516,11 @@ def test_non_finite_box_and_confidence_rejected(tmp_path):
 
 
 def test_detections_round_trip_byte_identical(tmp_path):
-    records = [ImageRecord("img0", 64, 64, [
-        AnnotatedObject(FACE, np.array([1.0, 2.0, 30.0, 40.0]), 0.912345),
-        AnnotatedObject(MASK, np.array([0.5, 0.25, 20.0, 20.0]), 0.5),
-        AnnotatedObject(FACE, np.array([3.0, 3.0, 9.0, 9.0]), 1.0),
-    ])]
+    records = [ImageRecord("img0", 64, 64, np.array([FACE, MASK, FACE]),
+                           np.array([[1.0, 2.0, 30.0, 40.0],
+                                     [0.5, 0.25, 20.0, 20.0],
+                                     [3.0, 3.0, 9.0, 9.0]]),
+                           np.array([0.912345, 0.5, 1.0]))]
     path = tmp_path / "dets.json"
     save_detections(records, path)
     first = path.read_bytes()
@@ -506,8 +533,8 @@ def test_detections_round_trip_byte_identical(tmp_path):
 
 
 def test_serialize_uses_six_decimal_places():
-    rec = ImageRecord("x", 10, 10, [
-        AnnotatedObject(FACE, np.array([0.0, 0.0, 5.0, 5.0]), 0.25)])
+    rec = ImageRecord("x", 10, 10, np.array([FACE]),
+                      np.array([[0.0, 0.0, 5.0, 5.0]]), np.array([0.25]))
     text = serialize_detections([rec])
     assert '"box":[0.000000,0.000000,5.000000,5.000000]' in text
     assert text.endswith("\n")
@@ -520,11 +547,11 @@ def test_serialize_uses_six_decimal_places():
     ([-float("inf"), 0.0, 5.0, 5.0], 0.5),
 ])
 def test_writer_refuses_non_finite_values(tmp_path, box, confidence):
-    good = ImageRecord("ok", 10, 10, [
-        AnnotatedObject(FACE, np.array([0.0, 0.0, 5.0, 5.0]), 0.25)])
-    bad = ImageRecord("img7", 10, 10, [
-        AnnotatedObject(FACE, np.array([1.0, 1.0, 4.0, 4.0]), 0.75),
-        AnnotatedObject(MASK, np.array(box), confidence)])
+    good = ImageRecord("ok", 10, 10, np.array([FACE]),
+                       np.array([[0.0, 0.0, 5.0, 5.0]]), np.array([0.25]))
+    bad = ImageRecord("img7", 10, 10, np.array([FACE, MASK]),
+                      np.array([[1.0, 1.0, 4.0, 4.0], box]),
+                      np.array([0.75, confidence]))
     with pytest.raises(AnnotationError, match="img7.*non-finite"):
         serialize_detections([good, bad])
     path = tmp_path / "d.json"

@@ -299,8 +299,9 @@ def test_sweeps_match_oracles_on_both_sides_of_the_density_choice(
 
 
 @pytest.mark.parametrize("scene", ["clustered", "crowded", "hostile"])
-def test_overlap_count_is_what_the_runs_list(scene):
-    # the density choice counts from sorted edges what the sweep would list
+def test_overlap_runs_count_the_pairs_overlapping_on_the_axis(scene):
+    # the density choice sums the runs' counts: per axis they must be the
+    # valid pairs whose spans overlap there, each pair once when ``same``
     rng = np.random.default_rng(11)
     boxes = sweep_scenes(rng)[scene]
     half = len(boxes) // 2
@@ -310,10 +311,14 @@ def test_overlap_count_is_what_the_runs_list(scene):
         valid_b = valid_a if same else postproc._positive_rows(b)
         for axis in (0, 1):
             runs = postproc._overlap_runs(a, b, valid_a, valid_b, axis, same)
-            listed = sum(int(run[3].sum()) for run in runs)
-            assert listed == postproc._overlap_count(a[valid_a], b[valid_b],
-                                                     axis, same)
             assert all((run[3] >= 0).all() for run in runs)
+            lo_a, hi_a = a[valid_a, axis], a[valid_a, axis + 2]
+            lo_b, hi_b = b[valid_b, axis], b[valid_b, axis + 2]
+            overlap = (np.maximum.outer(lo_a, lo_b)
+                       < np.minimum.outer(hi_a, hi_b))
+            if same:
+                overlap = np.triu(overlap, k=1)
+            assert sum(int(run[3].sum()) for run in runs) == overlap.sum()
 
 
 def test_postprocess_memory_is_bounded_at_zero_confidence_threshold():
