@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,10 @@ def _parse_image(entry, with_confidence: bool) -> ImageRecord:
             raise AnnotationError(f"image '{image_id}': '{key}' must be an "
                                   f"integer of at least 1, got "
                                   f"{json.dumps(value)}")
+        if value > sys.float_info.max:
+            raise AnnotationError(f"image '{image_id}': '{key}' is too large "
+                                  f"for a float, got an integer of "
+                                  f"{len(str(value))} digits")
         return value
 
     def reject(ok, fault):      # names the first row that is not ok

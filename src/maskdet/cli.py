@@ -113,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init-weights", help="write Kaiming-initialized weights")
     p.add_argument("--out", required=True, help="output weights path")
-    p.add_argument("--seed", type=int, required=True, help="master RNG seed")
+    p.add_argument("--seed", type=_int_at_least(0), required=True,
+                   help="master RNG seed")
 
     sub.add_parser("selftest", help="run the embedded oracle suites")
     return parser

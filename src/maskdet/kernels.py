@@ -225,26 +225,26 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     the number of workers (at least one row).  For each band, only the
     input rows it reads are zero-padded, in the input's dtype (a band that
     needs no zero is a view of the input); their window view is written
-    once, cast to float64, into the worker's per-group column tile; the
+    once, cast to float64, into the band's own per-group column tile; the
     tile is multiplied by the per-group kernel matrices in one batched
     matmul; and the bias is added to the accumulator before it is stored
     into the band's rows of one preallocated float32 output.
 
-    When BLAS runs one thread, the workers are the caller plus a helper
-    thread for each further CPU this process may use, and a call of two or
-    more bands runs one loop per worker through :func:`side_by_side`; each
-    loop claims bands one at a time from a shared counter, so a loop that no
-    helper has started before the caller's loop ends finds no band left.
-    Otherwise the caller runs every band.  The call returns or
-    raises only once all its bands have stopped, and an error in any band
-    reaches the caller.  Bands split only the columns of the matmul, but
-    OpenBLAS's dgemm may sum in another order when a call's column count
-    changes, and at narrow output widths band splits were measured to
-    change float64 values in the last bits.  The float32 output rounds
-    such a difference away except with a chance of about 2**-28 per value,
-    so the output bytes matched across ``BAND_BYTES`` and worker counts in
-    every measured case; that rests on float32 rounding, not on
-    construction.
+    Each band is one call, and the call hands them all to
+    :func:`side_by_side`.  When BLAS runs one thread, the workers are the
+    caller plus a helper thread for each further CPU this process may use,
+    and an idle worker takes the next band that no one has started; at most
+    one band per worker runs at a time, so at most ``workers`` tiles and
+    accumulators exist at once.  Otherwise the caller runs every band in
+    order.  The call returns or raises only once all its bands have stopped,
+    and an error in any band reaches the caller.  Bands split only the
+    columns of the matmul, but OpenBLAS's dgemm may sum in another order
+    when a call's column count changes, and at narrow output widths band
+    splits were measured to change float64 values in the last bits.  The
+    float32 output rounds such a difference away except with a chance of
+    about 2**-28 per value, so the output bytes matched across
+    ``BAND_BYTES`` and worker counts in every measured case; that rests on
+    float32 rounding, not on construction.
     """
     _require_nchw(x)
     n, c, h, w = x.shape
@@ -275,35 +275,22 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     workers = _band_workers()
     band = min(out_h, max(1, BAND_BYTES // workers // max(row_bytes, 1)))
     out = np.empty((n, out_c, out_h, out_w), dtype=np.float32)
-    tops = range(0, out_h, band)
-    unclaimed = iter(tops)
-    claim_lock = threading.Lock()
 
-    def run_bands():
-        # one column tile and one accumulator per worker, reused by each band
-        # it claims
-        tile_buf = np.empty(n * g * taps * band * out_w)
-        acc_buf = np.empty(n * out_c * band * out_w)
-        while True:
-            with claim_lock:
-                top = next(unclaimed, None)
-            if top is None:
-                return
-            rows = min(band, out_h - top)
-            win = _windows(_band_rows(x, top * sh - ph, (rows - 1) * sh + kh, pw),
-                           kh, kw, sh, sw)
-            tile = tile_buf[:n * g * taps * rows * out_w]
-            tile.reshape(n, g, cg, kh, kw, rows, out_w)[...] = (
-                win.reshape(n, g, cg, rows, out_w, kh, kw)
-                .transpose(0, 1, 2, 5, 6, 3, 4))
-            acc = acc_buf[:n * out_c * rows * out_w].reshape(n, g, og, rows * out_w)
-            np.matmul(kernel, tile.reshape(n, g, taps, rows * out_w), out=acc)
-            acc = acc.reshape(n, out_c, rows, out_w)
-            if bias is not None:
-                acc += bias
-            out[:, :, top:top + rows] = acc
+    def run_band(top):
+        rows = min(band, out_h - top)
+        win = _windows(_band_rows(x, top * sh - ph, (rows - 1) * sh + kh, pw),
+                       kh, kw, sh, sw)
+        tile = np.empty((n, g, cg, kh, kw, rows, out_w))
+        tile[...] = (win.reshape(n, g, cg, rows, out_w, kh, kw)
+                     .transpose(0, 1, 2, 5, 6, 3, 4))
+        acc = np.matmul(kernel, tile.reshape(n, g, taps, rows * out_w))
+        acc = acc.reshape(n, out_c, rows, out_w)
+        if bias is not None:
+            acc += bias
+        out[:, :, top:top + rows] = acc
 
-    side_by_side(*[run_bands] * min(workers, len(tops)))
+    side_by_side(*[functools.partial(run_band, top)
+                   for top in range(0, out_h, band)])
     return out
 
 

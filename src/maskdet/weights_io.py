@@ -14,6 +14,7 @@ reloading it reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -84,15 +85,19 @@ def load_weights(path) -> dict[str, np.ndarray]:
                                      f"{entry['offset']}, expected "
                                      f"{expected_offset} (blobs must be "
                                      f"contiguous)")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4
+        nbytes = math.prod(shape) * 4
         if expected_offset + nbytes > len(blob):
             raise WeightsFormatError(f"blob for '{name}' truncated: needs "
                                      f"{nbytes} bytes at offset "
                                      f"{expected_offset}, blob section has "
                                      f"{len(blob)}")
         arr = np.frombuffer(blob, dtype="<f4", count=nbytes // 4,
-                            offset=expected_offset).reshape(shape)
-        store[name] = arr    # frombuffer view of bytes: already read-only
+                            offset=expected_offset)
+        try:
+            store[name] = arr.reshape(shape)    # a view of bytes: read-only
+        except ValueError as exc:
+            raise WeightsFormatError(f"invalid shape {shape} for "
+                                     f"'{name}': {exc}") from exc
         expected_offset += nbytes
     if expected_offset != len(blob):
         raise WeightsFormatError(f"blob section has {len(blob)} bytes but "

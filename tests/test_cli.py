@@ -57,6 +57,7 @@ def test_argument_errors_exit_2():
     assert main(["anchors", "--size", "0"]) == 2
     assert main(["anchors", "--size", "-5"]) == 2
     assert main(["anchors", "--size", "x"]) == 2
+    assert main(["init-weights", "--out", "w", "--seed", "-1"]) == 2
 
 
 @pytest.mark.parametrize("strides,message", [

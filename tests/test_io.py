@@ -136,6 +136,18 @@ def test_weights_manifest_booleans_are_not_integers(tmp_path, entry, message):
         load_weights(path)
 
 
+@pytest.mark.parametrize("shape", [
+    [4294967296, 4294967296], [18446744073709551616], [1] * 65,
+    [3, 2**62 + 1], [2**63], [0, 2**70],
+])
+def test_weights_shape_beyond_int64_names_tensor(tmp_path, shape):
+    path = tmp_path / "huge.rfmw"
+    path.write_bytes(craft_container([{"name": "a", "shape": shape,
+                                       "offset": 0}], b"\x00" * 4))
+    with pytest.raises(WeightsFormatError, match="for 'a'"):
+        load_weights(path)
+
+
 def test_weights_truncated_header(tmp_path):
     path = tmp_path / "tiny.rfmw"
     path.write_bytes(b"RFMW\x10")
@@ -429,6 +441,17 @@ def test_annotations_extent_must_be_a_positive_integer(tmp_path, field, value):
     with pytest.raises(AnnotationError,
                        match=f"im3.*'{field}' must be an integer of at least 1"):
         load_annotations(write_json(tmp_path, doc))
+
+
+@pytest.mark.parametrize("loader", [load_annotations, load_detections])
+@pytest.mark.parametrize("field", ["width", "height"])
+def test_annotations_extent_too_large_for_a_float(tmp_path, field, loader):
+    doc = ann_doc([], image="im4")
+    doc["images"][0][field] = 10**400
+    with pytest.raises(AnnotationError,
+                       match=f"im4.*'{field}' is too large for a float, got "
+                             f"an integer of 401 digits"):
+        loader(write_json(tmp_path, doc))
 
 
 @pytest.mark.parametrize("box, error, message", [

@@ -267,7 +267,8 @@ def test_conv_working_memory_is_bounded(shape, kshape, stride, groups):
 @pytest.mark.parametrize("shape,kshape,stride,groups", BOUNDED_LAYERS)
 def test_conv_working_memory_is_bounded_on_two_workers(shape, kshape, stride,
                                                        groups):
-    # the workers share BAND_BYTES, so a second one adds no column tile
+    # at most one band per worker is in flight, and each band is sized to
+    # BAND_BYTES / workers
     with mock.patch.object(kernels, "_band_workers", lambda: 2):
         assert conv_peak_bytes(shape, kshape, stride, groups) <= 12e6
 
@@ -333,8 +334,27 @@ def test_pooled_conv_error_reaches_caller_after_every_band_stops():
         assert in_band == []
         claimed = len(calls)
         time.sleep(0.1)
-        assert len(calls) == claimed        # no worker claims bands any more
+        assert len(calls) == claimed        # no band starts any more
     assert np.array_equal(conv_on_workers(x, params, TINY_BANDS, 3), serial)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pooled_conv_runs_every_band_exactly_once(workers):
+    # a band run both by a helper and by the caller would still give the
+    # right output, so count the bands' input rows instead
+    x, params = odd_band_case(*ODD_BAND_CASES[0][:5])
+    real_band_rows = kernels._band_rows
+    tops = []
+
+    def record_top(x, top, count, pad_w):
+        tops.append(top)
+        return real_band_rows(x, top, count, pad_w)
+
+    with mock.patch.object(kernels, "_band_rows", record_top):
+        for _ in range(50):
+            tops.clear()
+            conv_on_workers(x, params, TINY_BANDS, workers)
+            assert sorted(tops) == list(range(-1, 9))
 
 
 def test_pooled_conv_from_many_threads_at_once():
