@@ -4,9 +4,9 @@ Every architecture block in this package is composed from the forward-only
 kernels in this module.  A "tensor" is a plain ``numpy.ndarray`` with four
 axes in (batch, channels, height, width) order, stored as 32-bit floats and
 row-major over those axes.  Kernels may accumulate in 64-bit internally but
-always return float32; given finite inputs they produce finite outputs.
-The row-wise softmax helpers work on logit arrays of any shape and return
-float64.
+always return float32; given finite inputs they produce finite outputs as
+long as their float64 sums fit in float32.  The row-wise softmax helpers
+work on logit arrays of any shape and return float64.
 
 Convolution here is cross-correlation (no kernel flip), padding is always
 zero-padding, and there is no autodiff: the network is inference-only.
@@ -97,9 +97,9 @@ def conv_output_extent(extent: int, kernel: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - kernel) // stride + 1
 
 
-# Bytes that the bands of one conv2d call in flight together may use for
-# their float64 column tiles plus their float64 accumulators.
-BAND_BYTES = 4 << 20
+# Bytes that one band of a conv2d call may use for its float64 column tile
+# plus its float64 accumulator.
+BAND_BYTES = 2 << 20
 
 
 def _band_rows(x: np.ndarray, top: int, count: int, pad_w: int) -> np.ndarray:
@@ -221,30 +221,27 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     Output extents follow h' = floor((h + 2*pad - kh) / stride) + 1 and must
     be at least 1.  Every group count takes the same lowering, run over
     bands of output rows.  A band has as many rows as fit its float64
-    im2col tile plus its float64 accumulator in ``BAND_BYTES`` divided by
-    the number of workers (at least one row).  For each band, only the
-    input rows it reads are zero-padded, in the input's dtype (a band that
-    needs no zero is a view of the input); their window view is written
-    once, cast to float64, into the band's own per-group column tile; the
-    tile is multiplied by the per-group kernel matrices in one batched
-    matmul; and the bias is added to the accumulator before it is stored
-    into the band's rows of one preallocated float32 output.
+    im2col tile plus its float64 accumulator in ``BAND_BYTES`` (at least
+    one row), so its rows depend only on the layer and ``BAND_BYTES``.  For
+    each band, only the input rows it reads are zero-padded, in the input's
+    dtype (a band that needs no zero is a view of the input); their window
+    view is written once, cast to float64, into the band's own per-group
+    column tile; the tile is multiplied by the per-group kernel matrices in
+    one batched matmul; and the bias is added to the accumulator before it
+    is stored into the band's rows of one preallocated float32 output.
 
     Each band is one call, and the call hands them all to
-    :func:`side_by_side`.  When BLAS runs one thread, the workers are the
-    caller plus a helper thread for each further CPU this process may use,
-    and an idle worker takes the next band that no one has started; at most
-    one band per worker runs at a time, so at most ``workers`` tiles and
-    accumulators exist at once.  Otherwise the caller runs every band in
-    order.  The call returns or raises only once all its bands have stopped,
-    and an error in any band reaches the caller.  Bands split only the
-    columns of the matmul, but OpenBLAS's dgemm may sum in another order
-    when a call's column count changes, and at narrow output widths band
-    splits were measured to change float64 values in the last bits.  The
-    float32 output rounds such a difference away except with a chance of
-    about 2**-28 per value, so the output bytes matched across
-    ``BAND_BYTES`` and worker counts in every measured case; that rests on
-    float32 rounding, not on construction.
+    :func:`side_by_side`, which runs at most one call per worker at a time,
+    so the tiles and accumulators of one call hold at most
+    ``min(workers, bands) * BAND_BYTES``.  The call returns or raises only
+    once all its bands have stopped, and an error in any band reaches the
+    caller.  A band's rows, and so its matmul, do not depend on the worker
+    that runs it or on the number of workers, so no worker count changes an
+    output bit.  Only a change of ``BAND_BYTES`` rests on float32 rounding:
+    OpenBLAS's dgemm may sum in another order when a call's column count
+    changes, which at narrow output widths was measured to change float64
+    values in the last bits, and the float32 output rounds that away except
+    with a chance of about 2**-28 per value.
     """
     _require_nchw(x)
     n, c, h, w = x.shape
@@ -272,8 +269,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     bias = (None if params.bias is None
             else params.bias.astype(np.float64)[None, :, None, None])
     row_bytes = 8 * n * out_w * (g * taps + out_c)
-    workers = _band_workers()
-    band = min(out_h, max(1, BAND_BYTES // workers // max(row_bytes, 1)))
+    band = min(out_h, max(1, BAND_BYTES // max(row_bytes, 1)))
     out = np.empty((n, out_c, out_h, out_w), dtype=np.float32)
 
     def run_band(top):

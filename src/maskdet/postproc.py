@@ -46,6 +46,10 @@ class Detection:
 def _check_rows(pred: Predictions, anchors: AnchorSet) -> None:
     if pred.count != len(anchors):
         raise ValueError(f"{pred.count} prediction rows vs {len(anchors)} anchors")
+    bad = sum(a.size - np.count_nonzero(np.isfinite(a))
+              for a in (pred.loc, pred.cls))
+    if bad:
+        raise ValueError(f"{bad} non-finite values in the model's predictions")
 
 
 def score_predictions(pred: Predictions, anchors: AnchorSet,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,22 @@ def test_detect_end_to_end_writes_detections(tmp_path, ppm, capsys):
         assert obj["confidence"] >= 0.6
         x0, y0, x1, y1 = obj["box"]
         assert 0 <= x0 <= x1 <= 64 and 0 <= y0 <= y1 <= 48
+
+
+def test_detect_with_overflowing_weights_exits_1(tmp_path, ppm, capsys):
+    # every weight stays finite, so the store loads, but the forward pass
+    # overflows float32
+    weights = tmp_path / "w.rfmw"
+    assert main(["init-weights", "--out", str(weights), "--seed", "7"]) == 0
+    store = load_weights(weights)
+    save_weights({name: value * 1e4 for name, value in store.items()},
+                 weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["detect", "--weights", str(weights), "--input", str(ppm),
+                     "--out", str(tmp_path / "o.json"), "--size", "320"])
+    assert code == 1
+    assert "non-finite values" in capsys.readouterr().err
 
 
 def test_detect_goes_through_the_benchmark_hooks(tmp_path, monkeypatch):

@@ -267,15 +267,23 @@ def test_conv_working_memory_is_bounded(shape, kshape, stride, groups):
 @pytest.mark.parametrize("shape,kshape,stride,groups", BOUNDED_LAYERS)
 def test_conv_working_memory_is_bounded_on_two_workers(shape, kshape, stride,
                                                        groups):
-    # at most one band per worker is in flight, and each band is sized to
-    # BAND_BYTES / workers
+    # at most one band per worker is in flight, and each band fits BAND_BYTES
     with mock.patch.object(kernels, "_band_workers", lambda: 2):
         assert conv_peak_bytes(shape, kshape, stride, groups) <= 12e6
+
+
+@pytest.mark.parametrize("shape,kshape,stride,groups", BOUNDED_LAYERS)
+def test_conv_working_memory_is_bounded_on_four_workers(shape, kshape, stride,
+                                                        groups):
+    # one band per worker in flight: four bands of at most 2 MiB each
+    with mock.patch.object(kernels, "_band_workers", lambda: 4):
+        assert conv_peak_bytes(shape, kshape, stride, groups) <= 16e6
 
 
 # ------------------------------------------------- conv2d bands on workers
 
 DEFAULT_BANDS = kernels.BAND_BYTES
+WIDE_BANDS = 4 << 20   # bytes: twice the default, so fewer and taller bands
 
 
 def conv_on_workers(x, params, band_bytes, workers):
@@ -283,7 +291,32 @@ def conv_on_workers(x, params, band_bytes, workers):
         return conv_with_budget(x, params, band_bytes)
 
 
-@pytest.mark.parametrize("band_bytes", [TINY_BANDS, DEFAULT_BANDS])
+def test_band_geometry_does_not_depend_on_the_worker_count(
+        reference_conv_calls):
+    # bands may run on helpers, so each call's band tops are compared sorted
+    real_band_rows = kernels._band_rows
+    tops = []
+
+    def record_top(x, top, count, pad_w):
+        tops.append(top)
+        return real_band_rows(x, top, count, pad_w)
+
+    splits = {}
+    with mock.patch.object(kernels, "_band_rows", record_top):
+        for workers in (1, 2, 3, 8):
+            splits[workers] = []
+            for x, params in reference_conv_calls:
+                tops.clear()
+                conv_on_workers(x, params, DEFAULT_BANDS, workers)
+                splits[workers].append(sorted(tops))
+    assert any(len(split) > 1 for split in splits[1])
+    assert splits[2] == splits[1]
+    assert splits[3] == splits[1]
+    assert splits[8] == splits[1]
+
+
+@pytest.mark.parametrize("band_bytes", [TINY_BANDS, DEFAULT_BANDS,
+                                        WIDE_BANDS])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_pooled_conv_matches_serial_on_reference_layers(reference_conv_calls,
                                                         workers, band_bytes):
@@ -293,7 +326,8 @@ def test_pooled_conv_matches_serial_on_reference_layers(reference_conv_calls,
                               serial)
 
 
-@pytest.mark.parametrize("band_bytes", [TINY_BANDS, DEFAULT_BANDS])
+@pytest.mark.parametrize("band_bytes", [TINY_BANDS, DEFAULT_BANDS,
+                                        WIDE_BANDS])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("shape,kshape,stride,padding,groups,rows",
                          ODD_BAND_CASES)

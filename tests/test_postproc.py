@@ -55,6 +55,19 @@ def test_score_misaligned_inputs():
         score_predictions(pred, anchors)
 
 
+@pytest.mark.parametrize("part,value", [("cls", np.inf), ("loc", np.nan)])
+def test_non_finite_predictions_raise(part, value):
+    anchors = generate_anchors(TINY)
+    arrays = {"loc": np.zeros((42, 4), dtype=np.float32),
+              "cls": np.zeros((42, 3), dtype=np.float32)}
+    arrays[part][7, 1] = value
+    pred = Predictions(**arrays)
+    with pytest.raises(ValueError, match="1 non-finite"):
+        postprocess(pred, anchors, 32, conf_thresh=0.0)
+    with pytest.raises(ValueError, match="1 non-finite"):
+        score_predictions(pred, anchors)
+
+
 def test_score_decodes_against_anchor_rows():
     anchors = generate_anchors(TINY)
     target = np.array([2.0, 2.0, 12.0, 12.0])
