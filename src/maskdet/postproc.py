@@ -19,7 +19,7 @@ import numpy as np
 # ``iou`` is not called here; it stays importable as ``postproc.iou`` because
 # the benchmark's tracer counts calls to it through this namespace.
 from .anchors import (FACE, MASK, AnchorSet, decode, generate_anchors, iou,
-                      iou_matrix, iou_pairs)
+                      iou_pairs)
 from .kernels import softmax_rows
 from .model import Model, Predictions, model_forward
 
@@ -27,11 +27,7 @@ DEFAULT_CONF_THRESH = 0.5
 DEFAULT_NMS_IOU = 0.4
 DEFAULT_ORCC_IOU = 0.5
 
-SWEEP_BLOCK_ROWS = 64    # rows per IoU slab in :func:`_alive_hits`
 PAIR_CHUNK = 1 << 16     # candidate pairs per chunk in :func:`_pair_hits`
-# above this share of all pairs overlapping on the sorted axis, the slab
-# sweep, which skips decided columns, is cheaper than listing the pairs
-DENSE_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -80,23 +76,6 @@ def filter_confidence(boxes: np.ndarray, scores: np.ndarray,
     return boxes[keep], scores[keep]
 
 
-def _alive_hits(a: np.ndarray, b: np.ndarray, a_alive: np.ndarray,
-                b_alive: np.ndarray, thresh: float):
-    """Yield ``(i, hit columns)`` for each row of ``a`` alive when reached.
-
-    One slab ``iou_matrix(alive rows, columns of b alive at the block start)
-    > thresh`` per block of ``SWEEP_BLOCK_ROWS`` rows; hits are in column
-    order and may name columns the caller cleared since the block start.
-    """
-    for start in range(0, len(a), SWEEP_BLOCK_ROWS):
-        rows = np.flatnonzero(a_alive[start:start + SWEEP_BLOCK_ROWS]) + start
-        cols = np.flatnonzero(b_alive)
-        over = iou_matrix(a[rows], b[cols]) > thresh
-        for i, hits in zip(rows.tolist(), over):
-            if a_alive[i]:
-                yield i, cols[hits]
-
-
 def _positive_rows(boxes: np.ndarray) -> np.ndarray:
     """Indices of the boxes with positive extent on both axes (never NaN)."""
     return np.flatnonzero((boxes[:, 0] < boxes[:, 2])
@@ -115,6 +94,8 @@ def _overlap_runs(a: np.ndarray, b: np.ndarray, valid_a: np.ndarray,
     pair comes once; otherwise a second run pairs each box of ``b`` with
     the boxes of ``a`` whose low edge lies in its span strictly above its
     own.
+
+    Counts are clamped at 0, for high edges that lie below the low edge.
     """
     def by_low_edge(boxes, valid):
         order = valid[np.argsort(boxes[valid, axis])]
@@ -124,14 +105,14 @@ def _overlap_runs(a: np.ndarray, b: np.ndarray, valid_a: np.ndarray,
     if same:
         firsts = np.arange(1, len(order_a) + 1)
         return [(order_a, order_a, firsts,
-                 np.searchsorted(lo_a, hi_a) - firsts, True)]
+                 np.maximum(np.searchsorted(lo_a, hi_a) - firsts, 0), True)]
     order_b, lo_b, hi_b = by_low_edge(b, valid_b)
     firsts_b = np.searchsorted(lo_b, lo_a)
     firsts_a = np.searchsorted(lo_a, lo_b, "right")
     return [(order_a, order_b, firsts_b,
-             np.searchsorted(lo_b, hi_a) - firsts_b, True),
+             np.maximum(np.searchsorted(lo_b, hi_a) - firsts_b, 0), True),
             (order_b, order_a, firsts_a,
-             np.searchsorted(lo_a, hi_b) - firsts_a, False)]
+             np.maximum(np.searchsorted(lo_a, hi_b) - firsts_a, 0), False)]
 
 
 def _run_chunks(firsts, counts):
@@ -150,69 +131,85 @@ def _run_chunks(firsts, counts):
         r = stop
 
 
+@np.errstate(invalid="ignore", over="ignore")
+def _bounds(coords: np.ndarray, thresh: float):
+    """Per-box terms, for boxes given coordinate first, of two conditions
+    that every pair with ``iou > thresh`` meets: ``(edges, area, floor)``.
+
+    - The IoU is at most the overlap on an axis over either box's extent
+      there.  ``edges`` is ``coords`` with each high edge lowered by
+      ``thresh`` times that extent, and the pair's spans overlap on both
+      axes under these edges.
+    - The IoU is at most the smaller area over the larger, so each box's
+      ``area`` exceeds the other's ``floor``, ``thresh`` times its area.
+
+    Rounding here and in ``iou_pairs`` moves a side by a few 2**-53 of its
+    largest operand; the terms give way by 2**-40 of the extent, the
+    coordinate and the area.  A box whose area is not finite, or is below
+    2**-1000 where subnormal rounding can beat both bounds, keeps its edges
+    and has a floor of -inf.
+    """
+    slack = 2.0 ** -40
+    extent = coords[2:] - coords[:2]
+    area = extent[0] * extent[1]
+    usable = (area >= 2.0 ** -1000) & (area < np.inf)
+    cut = (thresh - slack) * extent - slack * np.abs(coords[2:])
+    edges = coords.copy()
+    np.subtract(coords[2:], cut, out=edges[2:], where=usable & (cut > 0))
+    return edges, area, np.where(usable, (thresh - slack) * area, -np.inf)
+
+
 def _pair_hits(a: np.ndarray, b: np.ndarray, thresh: float, same: bool):
     """Rows and columns of the pairs with ``iou > thresh``, sorted by row,
-    then column, or None when listing overlapping pairs does not pay.
+    then column; with ``same`` only pairs with row < column.
 
     Only boxes with positive extents on both axes (so never a NaN) take
-    part, and they are sorted on the axis with fewer overlapping pairs.
-    Pairs that overlap on the other axis too are scored as
-    ``iou_pairs(row of a, column of b)``, the operations ``iou_matrix``
-    runs on them.  An IoU above ``thresh >= 0`` needs positive overlap on
-    both axes, so no hit is missed.  With ``same`` only pairs with row <
-    column are listed.  None when ``thresh`` is not ``>= 0`` or when the
-    overlapping pairs exceed ``DENSE_SHARE`` of all pairs.
+    part.  They are sorted by low edge on the axis with fewer pairs whose
+    spans overlap under the lowered edges of :func:`_bounds`; the pairs
+    that overlap that way on the other axis too and meet its area
+    condition are scored as ``iou_pairs(row of a, column of b)``, the
+    operations ``iou_matrix`` runs on them.  Raises ValueError unless
+    ``0 <= thresh <= 1``.
     """
-    if not thresh >= 0:
-        return None
-    valid_a = _positive_rows(a)
-    valid_b = valid_a if same else _positive_rows(b)
-    by_axis = [_overlap_runs(a, b, valid_a, valid_b, axis, same)
-               for axis in (0, 1)]
-    listed = [sum(int(run[3].sum()) for run in runs) for runs in by_axis]
-    axis = int(np.argmin(listed))
-    if listed[axis] > DENSE_SHARE * (len(a) * (len(a) - 1) // 2 if same
-                                     else len(a) * len(b)):
-        return None
-    o = 1 - axis
+    if not 0 <= thresh <= 1:
+        raise ValueError(f"IoU threshold must be a number in [0, 1], "
+                         f"got {thresh!r}")
     coords_a = np.ascontiguousarray(a.T)      # coordinate first, for iou_pairs
     coords_b = coords_a if same else np.ascontiguousarray(b.T)
+    valid_a = _positive_rows(a)
+    valid_b = valid_a if same else _positive_rows(b)
+    edges_a, area_a, floor_a = _bounds(coords_a, thresh)
+    edges_b, area_b, floor_b = ((edges_a, area_a, floor_a) if same
+                                else _bounds(coords_b, thresh))
+    by_axis = [_overlap_runs(edges_a.T, edges_b.T, valid_a, valid_b, axis,
+                             same) for axis in (0, 1)]
+    axis = int(np.argmin([sum(int(run[3].sum()) for run in runs)
+                          for runs in by_axis]))
+    o = 1 - axis
     keys = [np.zeros(0, dtype=np.intp)]
     for owners, pool, firsts, counts, owners_in_a in by_axis[axis]:
-        mine, theirs = (a, b) if owners_in_a else (b, a)
-        own_lo, own_hi = mine[owners, o], mine[owners, o + 2]
-        spans = theirs[pool][:, [o, o + 2]]     # low, high edge on axis o
+        mine, theirs = ((edges_a, edges_b) if owners_in_a
+                        else (edges_b, edges_a))
+        own_lo, own_hi = mine[o, owners], mine[o + 2, owners]
+        spans = theirs[o::2, pool]          # low, lowered high edge on axis o
         for rows, pos in _run_chunks(firsts, counts):
             n = counts[rows]
-            span = np.take(spans, pos, axis=0)
-            near = np.flatnonzero((np.repeat(own_lo[rows], n) < span[:, 1])
-                                  & (span[:, 0] < np.repeat(own_hi[rows], n)))
+            span = np.take(spans, pos, axis=1)
+            near = np.flatnonzero((np.repeat(own_lo[rows], n) < span[1])
+                                  & (span[0] < np.repeat(own_hi[rows], n)))
             r = np.repeat(owners[rows], n)[near]
             c = pool[pos[near]]
             if not owners_in_a:
                 r, c = c, r
             elif same:
                 r, c = np.minimum(r, c), np.maximum(r, c)
+            fit = np.flatnonzero((floor_a[r] < area_b[c])
+                                 & (floor_b[c] < area_a[r]))
+            r, c = r[fit], c[fit]
             hit = iou_pairs(np.take(coords_a, r, axis=1),
                             np.take(coords_b, c, axis=1)) > thresh
             keys.append(r[hit] * len(b) + c[hit])
     return np.divmod(np.sort(np.concatenate(keys)), len(b))
-
-
-def _sweep_hits(a: np.ndarray, b: np.ndarray, a_alive: np.ndarray,
-                b_alive: np.ndarray, thresh: float, same: bool = False):
-    """An iterator of ``(i, hit columns)`` for rows of ``a`` alive when
-    reached.
-
-    Hits are listed by :func:`_pair_hits` when that pays (then rows without
-    a hit are skipped, and with ``same`` only columns after the row are
-    named) and by the slab sweep :func:`_alive_hits` otherwise.  Hits are
-    in column order and may name columns the caller has cleared.
-    """
-    pairs = _pair_hits(a, b, thresh, same)
-    if pairs is None:
-        return _alive_hits(a, b, a_alive, b_alive, thresh)
-    return _listed_hits(*pairs, a_alive)
 
 
 def _listed_hits(rows: np.ndarray, cols: np.ndarray, a_alive: np.ndarray):
@@ -234,9 +231,11 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     it with IoU strictly above ``iou_thresh``.  Returns the kept (boxes,
     scores) in kept order.
 
-    The ranked boxes are swept against themselves by :func:`_sweep_hits`:
-    a box still open when reached is kept and closes itself and its hits;
-    a box never reached (it has no hits) and never closed is kept too.
+    The ranked boxes' hits among themselves come from :func:`_pair_hits`,
+    and their rows are walked in rank order: a box still open when reached
+    is kept and closes itself and its hits; a box never reached (it has no
+    hits) and never closed is kept too.  Raises ValueError unless
+    ``0 <= iou_thresh <= 1``.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -244,8 +243,8 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     ranked = boxes[order]
     open_ = np.ones(len(order), dtype=bool)
     kept = np.zeros(len(order), dtype=bool)
-    for i, hits in _sweep_hits(ranked, ranked, open_, open_, iou_thresh,
-                               same=True):
+    for i, hits in _listed_hits(*_pair_hits(ranked, ranked, iou_thresh, True),
+                                open_):
         open_[hits] = False
         open_[i] = False
         kept[i] = True
@@ -259,14 +258,14 @@ def _orcc_keep(face_boxes: np.ndarray, face_conf: np.ndarray,
     """The ``(face, mask)`` keep masks of :func:`orcc` over box and
     confidence arrays.
 
-    The faces are swept against the masks by :func:`_sweep_hits`: a face's
-    alive hit masks are removed up to the first one it does not beat, which
-    removes the face.
+    The faces' hits among the masks come from :func:`_pair_hits`, and the
+    faces with hits are walked in list order: a face's alive hit masks are
+    removed up to the first one it does not beat, which removes the face.
     """
     face_alive = np.ones(len(face_boxes), dtype=bool)
     mask_alive = np.ones(len(mask_boxes), dtype=bool)
-    for fi, hits in _sweep_hits(face_boxes, mask_boxes, face_alive,
-                                mask_alive, thresh):
+    for fi, hits in _listed_hits(*_pair_hits(face_boxes, mask_boxes, thresh,
+                                             False), face_alive):
         live = hits[mask_alive[hits]]
         lost = np.flatnonzero(~(face_conf[fi] >= mask_conf[live]))
         if lost.size:

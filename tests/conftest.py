@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from maskdet import kernels
 from maskdet.anchors import AnchorSet, LevelLayout
 from maskdet.model import ModelConfig, build_model, init_reference_weights
 
@@ -22,6 +23,16 @@ with warnings.catch_warnings():
 
 # small enough that a full forward takes milliseconds: grids 4/2/1, p = 42
 TINY = ModelConfig(input_size=32, fpn_channels=8)
+
+
+@pytest.fixture(autouse=True)
+def band_bytes_unchanged():
+    """Fail a test that leaves ``kernels.BAND_BYTES`` changed, and put the
+    value back, so that later tests run ``conv2d`` on its real bands."""
+    before = kernels.BAND_BYTES
+    yield
+    after, kernels.BAND_BYTES = kernels.BAND_BYTES, before
+    assert after == before, f"the test left kernels.BAND_BYTES at {after}"
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -388,6 +389,50 @@ def test_detect_bytes_do_not_depend_on_blas_threads(tmp_path):
         outputs.append(out.read_bytes())
     assert json.loads(outputs[0])["images"][0]["objects"]
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# SHA-256 of the README flow's detect JSON and eval stdout per detect
+# flags.  A change that alters an output byte updates these and says why.
+README_FLOW_DIGESTS = {
+    (): ("1934ef3406d6294a604a80a382dad60c45ea91018f5b360fecd68ade4812efbe",
+         "839fd8d06301024a72b2ef105ac006ddc07b6b57b7e706e64bda1912547bf4d8"),
+    ("--tc", "0.05"): (
+        "42876780083f15654c637e6c4e23539761b6eaf67bf4ea7b1c5b863dfd096b58",
+        "631d49f4209de1401b20afe3f9ffd47eb4cc597de70a79091e6195423e8bccdd"),
+}
+
+
+def test_readme_flow_bytes_match_the_recorded_digests(tmp_path, capsys):
+    """``init-weights --seed 7``, ``detect`` on two seeded 640x480 PPMs and
+    ``eval`` against every second object of the default-flags detections
+    give the recorded bytes, at default flags and at ``--tc 0.05``."""
+    weights = tmp_path / "w.rfmw"
+    assert main(["init-weights", "--out", str(weights), "--seed", "7"]) == 0
+    images = tmp_path / "images"
+    images.mkdir()
+    rng = np.random.default_rng(2020)
+    for name in ("a", "b"):
+        save_ppm(images / f"{name}.ppm",
+                 rng.integers(0, 256, (480, 640, 3), dtype=np.uint8))
+    dets = {}
+    for flags in README_FLOW_DIGESTS:
+        dets[flags] = tmp_path / f"dets{''.join(flags)}.json"
+        assert main(["detect", "--weights", str(weights), "--input",
+                     str(images), "--out", str(dets[flags]), *flags]) == 0
+    doc = json.loads(dets[()].read_text())
+    for record in doc["images"]:
+        record["objects"] = [{"class": obj["class"], "box": obj["box"]}
+                             for obj in record["objects"][::2]]
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    digests = {}
+    for flags, path in dets.items():
+        assert main(["eval", "--pred", str(path), "--gt", str(gt)]) == 0
+        digests[flags] = (hashlib.sha256(path.read_bytes()).hexdigest(),
+                          hashlib.sha256(capsys.readouterr().out.encode())
+                          .hexdigest())
+    assert digests == README_FLOW_DIGESTS
 
 
 def test_detect_directory_mode(tmp_path, capsys):

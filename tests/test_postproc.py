@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from maskdet import postproc
-from maskdet.anchors import FACE, MASK, encode, generate_anchors, iou
+from maskdet.anchors import (FACE, MASK, encode, generate_anchors, iou,
+                             iou_matrix)
 from maskdet.model import ModelConfig, Predictions, model_forward
 from maskdet.postproc import (Detection, detect, filter_confidence, nms,
                               orcc, postprocess, score_predictions,
@@ -237,13 +238,11 @@ def test_orcc_matches_fixed_point_oracle_across_slabs(thresh):
     assert [id(d) for d in got_m] == [id(d) for d in want_m]
 
 
-# ------------------------------------- pair sweep against the slab sweep
+# ------------------------------------------------------------ pair listing
 
-# each side of the density choice, forced; the last also splits the pairs
-# into many chunks, some of them one box's pairs over the budget
-SWEEP_SIDES = [("slabs", 0.0, postproc.PAIR_CHUNK),
-               ("pairs", 1.0, postproc.PAIR_CHUNK),
-               ("pairs in small chunks", 1.0, 97)]
+# the default chunk, and a small one that splits the pairs into many
+# chunks, some of them one box's pairs over the budget
+CHUNKS = [postproc.PAIR_CHUNK, 97]
 
 
 def hostile_scene(rng, count):
@@ -286,6 +285,8 @@ def sweep_scenes(rng):
 @pytest.mark.parametrize("scene", ["clustered", "crowded", "hostile"])
 def test_sweeps_match_oracles_on_both_sides_of_the_density_choice(
         scene, thresh, monkeypatch):
+    """NMS and ORCC match their oracles at the default pair chunk and at
+    one that splits the listed pairs into many chunks."""
     rng = np.random.default_rng([7, int(thresh * 10)])
     boxes = sweep_scenes(rng)[scene]
     scores = rng.choice([0.3, 0.5, 0.7, 0.9], size=len(boxes))
@@ -298,22 +299,91 @@ def test_sweeps_match_oracles_on_both_sides_of_the_density_choice(
     with np.errstate(invalid="ignore", over="ignore"):    # inf - inf
         want_nms = nms_reference(boxes, scores, thresh)
         want_f, want_m = orcc_fixed_point(faces, masks, thresh)
-    for side, share, chunk in SWEEP_SIDES:
-        monkeypatch.setattr(postproc, "DENSE_SHARE", share)
+    for chunk in CHUNKS:
         monkeypatch.setattr(postproc, "PAIR_CHUNK", chunk)
-        listed = postproc._pair_hits(boxes, boxes, thresh, same=True)
-        assert (listed is None) == (side == "slabs"), side
+        msg = f"PAIR_CHUNK = {chunk}"
         kept_b, kept_s = nms(boxes, scores, thresh)
-        np.testing.assert_array_equal(kept_b, boxes[want_nms], err_msg=side)
-        np.testing.assert_array_equal(kept_s, scores[want_nms], err_msg=side)
+        np.testing.assert_array_equal(kept_b, boxes[want_nms], err_msg=msg)
+        np.testing.assert_array_equal(kept_s, scores[want_nms], err_msg=msg)
         got_f, got_m = orcc(faces, masks, thresh)
-        assert [id(d) for d in got_f] == [id(d) for d in want_f], side
-        assert [id(d) for d in got_m] == [id(d) for d in want_m], side
+        assert [id(d) for d in got_f] == [id(d) for d in want_f], msg
+        assert [id(d) for d in got_m] == [id(d) for d in want_m], msg
+
+
+def boundary_pairs(rng, thresh, count, origin, size):
+    """``count`` pairs whose IoU is ``thresh`` give or take a few float64
+    steps: a box, and one flush with its high edge on one axis and as tall
+    on the other, ``thresh`` times as wide up to a few steps (at 0, one
+    that touches it or overlaps it by a few steps)."""
+    low = origin + rng.uniform(0, 100 * size, (count, 2))
+    a = np.hstack([low, low + rng.uniform(size / 2, 2 * size, (count, 2))])
+    b = a.copy()
+    k, axis = np.arange(count), rng.integers(0, 2, count)
+    hi, width = a[k, axis + 2], a[k, axis + 2] - a[k, axis]
+    steps = rng.integers(-4, 5, count)
+    if thresh:
+        b[k, axis] = hi - thresh * width * (1 + steps * 2.0 ** -52)
+    else:
+        b[k, axis], b[k, axis + 2] = hi - steps * np.spacing(hi), hi + width
+    pairs = np.stack([a, b], axis=1)
+    swap = rng.random(count) < 0.5
+    pairs[swap] = pairs[swap, ::-1]
+    return pairs.reshape(-1, 4)
+
+
+def bound_scenes(rng, thresh):
+    """Scenes that press on the bounds of the pair listing: random boxes
+    and pairs at the threshold, 1e-6 wide, near 1e6 and with subnormal
+    areas, duplicates and the hostile scene's non-finite rows."""
+    def boxes(n, origin, size):
+        low = origin + rng.uniform(0, 10 * size, (n, 2))
+        return np.hstack([low, low + rng.uniform(size / 2, 2 * size, (n, 2))])
+
+    scenes = {}
+    for name, origin, size in (("1e-6 wide", 0.0, 1e-6),
+                               ("near 1e6", 1e6, 1.0), ("unit", 0.0, 1.0),
+                               ("1e-160 wide", 0.0, 1e-160)):
+        scenes[name] = np.concatenate(
+            [boxes(100, origin, size),
+             boundary_pairs(rng, thresh, 150, origin, size)])
+    tiny = scenes["1e-6 wide"]
+    scenes["duplicates"] = np.concatenate([tiny[:100], tiny[:100], tiny[50:]])
+    scenes["hostile"] = hostile_scene(rng, 300)
+    return scenes
+
+
+@pytest.mark.parametrize("thresh", [0.0, 1 / 3, 0.4, 0.5, 1.0])
+def test_pair_listing_finds_every_pair_above_the_threshold(thresh):
+    rng = np.random.default_rng([9, int(thresh * 30)])
+    for name, boxes in bound_scenes(rng, thresh).items():
+        half = len(boxes) // 2
+        for a, b, same in ((boxes, boxes, True),
+                           (boxes[:half], boxes[half:], False)):
+            want = iou_matrix(a, b) > thresh
+            if same:
+                want = np.triu(want, k=1)
+            rows, cols = postproc._pair_hits(a, b, thresh, same)
+            np.testing.assert_array_equal(
+                np.stack([rows, cols]), np.nonzero(want), err_msg=name)
+
+
+@pytest.mark.parametrize("thresh", [-0.1, np.nan, 1.5])
+def test_iou_thresholds_outside_the_unit_interval_raise(thresh):
+    boxes = np.array([[0, 0, 10, 10], [1, 1, 11, 11.0]])
+    face, mask = det(boxes[0], FACE, 0.9), det(boxes[1], MASK, 0.8)
+    with pytest.raises(ValueError, match="IoU threshold"):
+        nms(boxes, np.array([0.9, 0.8]), thresh)
+    with pytest.raises(ValueError, match="IoU threshold"):
+        orcc([face], [mask], thresh)
+    pred, anchors = synthetic_predictions()
+    for kwargs in ({"nms_iou": thresh}, {"orcc_iou": thresh}):
+        with pytest.raises(ValueError, match="IoU threshold"):
+            postprocess(pred, anchors, 32.0, **kwargs)
 
 
 @pytest.mark.parametrize("scene", ["clustered", "crowded", "hostile"])
 def test_overlap_runs_count_the_pairs_overlapping_on_the_axis(scene):
-    # the density choice sums the runs' counts: per axis they must be the
+    # the axis choice sums the runs' counts: per axis they must be the
     # valid pairs whose spans overlap there, each pair once when ``same``
     rng = np.random.default_rng(11)
     boxes = sweep_scenes(rng)[scene]
