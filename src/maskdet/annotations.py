@@ -133,15 +133,20 @@ def _box_fault(box) -> str:
 def _parse_image(entry, with_confidence: bool) -> ImageRecord:
     """Check one image entry.  ``width`` and ``height`` must be integers >= 1.
 
-    One plain-Python walk reads each object's ``class``, ``box`` and, in a
-    detection file, ``confidence``.  The value types are then checked in
-    bulk: each box must be an array of 4 JSON numbers and each confidence a
-    JSON number (``true`` and ``false`` are not numbers); only when that
-    fails are the objects walked again to name the first bad one.  The
-    boxes are then checked as one array for non-finite, inverted and, after
-    clipping, degenerate rows, and then the confidences for non-finite
-    values.  Each of these checks names its first failing object, which
-    need not be the first faulty one in the image.
+    The objects are read by column: one comprehension each for ``class``,
+    ``box`` and, in a detection file, ``confidence``.  The classes are
+    checked in bulk to be exactly ``str`` and then turned into labels by a
+    dict lookup.  Only when a field is missing, a class is not exactly a
+    ``str`` or a class is unknown are the objects walked one by one, to
+    name the first with such a fault.  The value types are then checked in
+    bulk the same way: each box must be an array of 4 JSON numbers and
+    each confidence a JSON number (``true`` and ``false`` are not
+    numbers), and only when that fails are the objects walked again to
+    name the first bad one.  The boxes are then checked as one array for
+    non-finite, inverted and, after clipping, degenerate rows, and then the
+    confidences for non-finite values.  Each of these checks names its
+    first failing object, which need not be the first faulty one in the
+    image.
     """
     if type(entry) is not dict:
         raise AnnotationError(f"image entry must be an object, got "
@@ -182,16 +187,24 @@ def _parse_image(entry, with_confidence: bool) -> ImageRecord:
         reject([type(obj) is dict for obj in objects],
                lambda i: f"each object must be a JSON object, got "
                          f"{json.dumps(objects[i])}")
-    labels, rows, confidences = [], [], []
-    for obj in objects:
-        cls = need(obj, "class", "object")
-        if type(cls) is not str or cls not in CLASS_LABELS:
-            raise AnnotationError(f"image '{image_id}': unknown class "
-                                  f"'{cls}' (expected 'face' or 'mask')")
-        labels.append(CLASS_LABELS[cls])
-        rows.append(need(obj, "box", "object"))
-        if with_confidence:
-            confidences.append(need(obj, "confidence", "object"))
+    try:
+        classes = [obj["class"] for obj in objects]
+        rows = [obj["box"] for obj in objects]
+        confidences = ([obj["confidence"] for obj in objects]
+                       if with_confidence else [])
+        labels = ([CLASS_LABELS[cls] for cls in classes]
+                  if set(map(type, classes)) <= {str} else None)
+    except KeyError:        # a missing field or an unknown class
+        labels = None
+    if labels is None:      # names the first object with a bad field
+        for obj in objects:
+            cls = need(obj, "class", "object")
+            if type(cls) is not str or cls not in CLASS_LABELS:
+                raise AnnotationError(f"image '{image_id}': unknown class "
+                                      f"'{cls}' (expected 'face' or 'mask')")
+            need(obj, "box", "object")
+            if with_confidence:
+                need(obj, "confidence", "object")
     arrays = set(map(type, rows)) <= {list}
     values = [v for row in rows for v in row] if arrays else []
     if not (arrays and set(map(len, rows)) <= {4}
@@ -250,6 +263,12 @@ def _fmt(value: float) -> str:
     return f"{float(value):.6f}"
 
 
+# One detection object in canonical form.  Each ``%.6f`` renders a value
+# exactly as ``_fmt`` does.
+OBJECT_TEMPLATE = ('{"class":"%s","box":[%.6f,%.6f,%.6f,%.6f],'
+                   '"confidence":%.6f}')
+
+
 def serialize_detections(records: list[ImageRecord]) -> str:
     """Render detection records in the canonical byte-stable form.
 
@@ -263,9 +282,7 @@ def serialize_detections(records: list[ImageRecord]) -> str:
         if not (np.isfinite(rec.boxes).all() and np.isfinite(confs).all()):
             raise AnnotationError(f"image '{rec.image_id}': cannot write a "
                                   f"non-finite box or confidence")
-        object_parts = [f'{{"class":"{CLASS_NAMES[label]}",'
-                        f'"box":[{",".join(map(_fmt, box))}],'
-                        f'"confidence":{_fmt(conf)}}}'
+        object_parts = [OBJECT_TEMPLATE % (CLASS_NAMES[label], *box, conf)
                         for label, box, conf in zip(rec.labels.tolist(),
                                                     rec.boxes.tolist(),
                                                     confs.tolist())]

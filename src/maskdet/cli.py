@@ -16,6 +16,7 @@ input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -76,6 +77,7 @@ def _int_at_least(minimum: int, why: str = ""):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``maskdet`` command line."""
     parser = argparse.ArgumentParser(prog="maskdet",
                                      description="Face-mask detector toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -118,6 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("selftest", help="run the embedded oracle suites")
     return parser
+
+
+@functools.cache
+def _kept_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the
+    process: parsing leaves a parser as it was, and building one costs a
+    third of a small ``eval`` call."""
+    return build_parser()
 
 
 def _cmd_detect(args) -> int:
@@ -209,9 +219,8 @@ def _cmd_init_weights(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _kept_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -435,6 +435,139 @@ def test_readme_flow_bytes_match_the_recorded_digests(tmp_path, capsys):
     assert digests == README_FLOW_DIGESTS
 
 
+def _child_env(**extra):
+    """This environment plus ``extra``, with the source tree on the path, for
+    a child process."""
+    env = dict(os.environ, **extra)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# OpenBLAS cores that another x86 host may select, and the CPU flags their
+# kernels need
+OPENBLAS_CORE_FLAGS = {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}}
+
+
+def _cpu_flags() -> set:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.partition(":")[2].split()}
+
+
+def _numpy_blas() -> str:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:       # numpy before 1.26 has no dict form
+        return ""
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
+@pytest.mark.parametrize("core", sorted(OPENBLAS_CORE_FLAGS))
+def test_readme_flow_digests_hold_on_other_openblas_cores(core):
+    """The README-flow digest test passes in a child process whose OpenBLAS
+    runs another core's kernels, so the recorded bytes do not depend on
+    the x86 host."""
+    if "openblas" not in _numpy_blas().lower():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    missing = OPENBLAS_CORE_FLAGS[core] - _cpu_flags()
+    if missing:
+        pytest.skip(f"the CPU lacks {', '.join(sorted(missing))} for {core}")
+    env = _child_env(OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2")
+    loaded = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert f"Core: {core}" in loaded.stderr, loaded.stderr
+    test = (f"{Path(__file__).resolve()}::"
+            f"test_readme_flow_bytes_match_the_recorded_digests")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                          "no:cacheprovider", test], env=env,
+                         cwd=Path(__file__).resolve().parents[1],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-3000:]
+    assert "1 passed" in run.stdout
+
+
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    """``main`` keeps one parser for the process: eval, detect, an argument
+    error, an unknown subcommand and eval again, run in one process, each
+    give the exit code and output that a fresh process gives."""
+    rng = np.random.default_rng(3)
+    save_ppm(tmp_path / "im.ppm",
+             rng.integers(0, 256, (40, 56, 3), dtype=np.uint8))
+    save_weights(init_reference_weights(ModelConfig(), 3), tmp_path / "w.rfmw")
+    extent = {"id": "im", "width": 56, "height": 40}
+    gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
+    gt.write_text(json.dumps({"images": [dict(extent, objects=[
+        {"class": "face", "box": [4, 4, 30, 30]},
+        {"class": "mask", "box": [30, 10, 50, 36]}])]}))
+    pred.write_text(json.dumps({"images": [dict(extent, objects=[
+        {"class": "face", "box": [6, 4, 30, 30], "confidence": 0.9},
+        {"class": "mask", "box": [31, 10, 50, 36], "confidence": 0.7},
+        {"class": "face", "box": [40, 2, 52, 9], "confidence": 0.6}])]}))
+    eval_argv = ["eval", "--pred", str(pred), "--gt", str(gt)]
+
+    def calls(tag):
+        return [eval_argv + ["--iou", "0.9"],
+                ["detect", "--weights", str(tmp_path / "w.rfmw"), "--input",
+                 str(tmp_path / "im.ppm"), "--out", str(tmp_path / f"{tag}.json"),
+                 "--size", "64", "--tc", "0.05"],
+                eval_argv + ["--iou", "1.01"],
+                ["frobnicate"],
+                eval_argv]
+
+    capsys.readouterr()
+    in_process = []
+    for argv in calls("kept"):
+        code = main(argv)
+        in_process.append((code, *capsys.readouterr()))
+    alone = [(run.returncode, run.stdout, run.stderr) for run in (
+        subprocess.run([sys.executable, "-m", "maskdet.cli", *argv],
+                       env=_child_env(), capture_output=True, text=True,
+                       timeout=120)
+        for argv in calls("alone"))]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 2, 0]
+    assert in_process == alone
+    assert in_process[0][1] != in_process[4][1]    # --iou 0.9 did not stick
+    assert ((tmp_path / "kept.json").read_bytes()
+            == (tmp_path / "alone.json").read_bytes())
+
+
+def test_main_builds_its_parser_once_and_build_parser_a_new_one():
+    """Importing the CLI builds no parser, the first ``main`` call builds
+    one that later calls reuse, and ``build_parser`` builds a new one."""
+    script = """
+import argparse, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import maskdet.cli as cli
+counts = [len(built)]
+for argv in (["anchors", "--size", "64"], ["frobnicate"], ["anchors"]):
+    cli.main(argv)
+    counts.append(len(built))
+parser = cli.build_parser()
+counts.append(len(built))
+args = parser.parse_args(["eval", "--pred", "p", "--gt", "g"])
+print(json.dumps([counts, args.command, args.iou]))
+"""
+    run = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                         capture_output=True, text=True, timeout=60, check=True)
+    counts, command, iou = json.loads(run.stdout.splitlines()[-1])
+    assert counts[0] == 0 and counts[1] > 0
+    assert counts[1] == counts[2] == counts[3]
+    assert counts[4] == 2 * counts[1]
+    assert (command, iou) == ("eval", 0.5)
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    assert first.parse_args(["anchors", "--size", "64"]).size == 64
+
+
 def test_detect_directory_mode(tmp_path, capsys):
     rng = np.random.default_rng(1)
     img_dir = tmp_path / "imgs"

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskdet.annotations import (AnnotationError, ImageRecord, load_annotations,
-                                 load_detections, loads_back, save_detections,
+from maskdet.annotations import (OBJECT_TEMPLATE, AnnotationError,
+                                 ImageRecord, _fmt, _parse_image,
+                                 load_annotations, load_detections,
+                                 loads_back, save_detections,
                                  serialize_detections)
 from maskdet.anchors import FACE, MASK
 from maskdet.images import load_image, load_ppm, preprocess, resize_nearest, save_ppm
@@ -564,6 +566,45 @@ def test_serialize_uses_six_decimal_places():
     json.loads(text)    # stays valid JSON
 
 
+EDGE_VALUES = [-0.0, 0.0, 5e-7, -5e-7, 2.5e-7, 1.5e-6, 0.1234565,
+               0.9999995, 639.9999995, 1e15, 1e15 + 0.5, 123456789.1234565,
+               0, 3, 640, -7]
+
+
+def fmt_object(name, box, confidence):
+    """One object rendered field by field with ``_fmt``."""
+    return (f'{{"class":"{name}","box":[{",".join(map(_fmt, box))}],'
+            f'"confidence":{_fmt(confidence)}}}')
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_object_template_renders_values_as_fmt(value):
+    """Each ``%.6f`` of the object template gives ``_fmt``'s text, on
+    negative zero, values that round at the sixth decimal, 1e15 and ints."""
+    box = [value, 1.0, value, 2.0]
+    assert (OBJECT_TEMPLATE % ("mask", *box, value)
+            == fmt_object("mask", box, value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_object_template_matches_fmt_on_any_finite_float(value):
+    assert (OBJECT_TEMPLATE % ("face", *[value] * 5)
+            == fmt_object("face", [value] * 4, value))
+
+
+def test_serializer_writes_edge_values_as_fmt():
+    boxes = np.array(EDGE_VALUES[:12], dtype=np.float64).reshape(-1, 4)
+    confidences = np.array([-0.0, 0.9999995, 1e15])
+    rec = ImageRecord("e", 10, 10, np.array([FACE, MASK, FACE]), boxes,
+                      confidences)
+    objects = map(fmt_object, ["face", "mask", "face"], boxes.tolist(),
+                  confidences.tolist())
+    assert serialize_detections([rec]) == (
+        '{"images":[{"id":"e","width":10,"height":10,"objects":['
+        + ",".join(objects) + "]}]}\n")
+
+
 @pytest.mark.parametrize("box, confidence", [
     ([0.0, 0.0, float("nan"), 5.0], 0.5),
     ([0.0, 0.0, 5.0, 5.0], float("inf")),
@@ -604,3 +645,201 @@ def test_unreadable_json_names_the_file(tmp_path, text):
     path.write_bytes(text)
     with pytest.raises(AnnotationError, match="odd.json: not valid JSON"):
         load_annotations(path)
+
+
+# ------------------------------------------------- column read vs per object
+
+def reference_floats(value):
+    """``value`` with each JSON number as a float and lists kept, or None
+    when it holds anything else; an integer beyond the float range becomes
+    an infinity of its sign."""
+    if type(value) is list:
+        items = [reference_floats(v) for v in value]
+        return None if None in items else items
+    if type(value) not in (int, float):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def reference_parse(entry, with_confidence):
+    """One image entry read one object at a time: first each object's fields
+    and class, in file order, then each check over every object in turn,
+    naming the first object that fails it.  Returns labels, clipped boxes
+    and confidences as lists."""
+    image_id, width, height = entry["id"], entry["width"], entry["height"]
+    objects = entry["objects"]
+
+    def fail(message):
+        raise AnnotationError(f"image '{image_id}': {message}")
+
+    keys = ("box", "confidence") if with_confidence else ("box",)
+    for obj in objects:
+        if "class" not in obj:
+            fail("missing field 'class' in object")
+        cls = obj["class"]
+        if type(cls) is not str or cls not in ("face", "mask"):
+            fail(f"unknown class '{cls}' (expected 'face' or 'mask')")
+        for key in keys:
+            if key not in obj:
+                fail(f"missing field '{key}' in object")
+    for obj in objects:
+        box = obj["box"]
+        floats = reference_floats(box)
+        if floats is None:
+            fail(f"box values must be numbers, got {json.dumps(box)}")
+        if not (type(box) is list and len(box) == 4
+                and all(type(v) in (int, float) for v in box)):
+            fail(f"box must have 4 coordinates, got {floats}")
+    for obj in objects if with_confidence else []:
+        if type(obj["confidence"]) not in (int, float):
+            fail(f"confidence must be a number, got "
+                 f"{json.dumps(obj['confidence'])}")
+    boxes = [reference_floats(obj["box"]) for obj in objects]
+    for box in boxes:
+        if not all(math.isfinite(v) for v in box):
+            fail(f"non-finite box {box}")
+    for box in boxes:
+        if not (box[0] <= box[2] and box[1] <= box[3]):
+            fail(f"inverted box {box}")
+    limits = (width, height, width, height)
+    clipped = [[min(max(v, 0.0), float(limit)) for v, limit in zip(box, limits)]
+               for box in boxes]
+    for obj, box in zip(objects, clipped):
+        if not (box[0] < box[2] and box[1] < box[3]):
+            fail(f"degenerate box {obj['box']} after clipping to "
+                 f"{width}x{height}")
+    scores = None
+    if with_confidence:
+        scores = [reference_floats(obj["confidence"]) for obj in objects]
+        for score in scores:
+            if not math.isfinite(score):
+                fail(f"non-finite confidence {score}")
+    labels = [{"face": FACE, "mask": MASK}[obj["class"]] for obj in objects]
+    return labels, clipped, scores
+
+
+class ClassName(str):
+    """A str subclass: equal to and hashed like "face", yet not a JSON
+    string, so the loaders refuse it."""
+
+
+def number(low, high):
+    return st.integers(low, high) | st.floats(low, high)
+
+
+@st.composite
+def valid_object(draw, width, height):
+    """An object whose box keeps a positive extent after clipping."""
+    def side(limit):
+        low = draw(number(-20, limit - 1))
+        high = draw(number(math.floor(max(low, 0)) + 1, limit + 20))
+        return low, high
+
+    (x0, x1), (y0, y1) = side(width), side(height)
+    return {"class": draw(st.sampled_from(["face", "mask"])),
+            "box": [x0, y0, x1, y1],
+            "confidence": draw(number(0, 1))}
+
+
+NOT_A_NUMBER = [True, False, "0.5", None, [0.5], {"c": 1}]
+NON_FINITE = [math.nan, math.inf, -math.inf, 10**400, -10**400]
+
+
+def plant(draw, obj, fault, width, height):
+    """``obj`` with one ``fault``; the box is a list of 4 numbers before."""
+    obj, box = dict(obj), list(obj["box"])
+    if fault.startswith("missing "):
+        obj.pop(fault.split()[1], None)
+    elif fault == "unknown class":
+        obj["class"] = draw(st.sampled_from(["hat", "Face", "", "masks"])
+                            | st.text(max_size=3))
+    elif fault == "str-subclass class":
+        obj["class"] = ClassName(obj["class"])
+    elif fault == "list class":
+        obj["class"] = [obj["class"]]
+    elif fault == "non-list box":
+        obj["box"] = draw(st.sampled_from([5, 2.5, "abcd", None, {"a": 1},
+                                           tuple(box), [box]]))
+    elif fault == "3 or 5 values":
+        obj["box"] = box[:3] if draw(st.booleans()) else box + [box[-1]]
+    elif fault == "true, string or null value":
+        value = draw(st.sampled_from([True, "5", None]))
+        if draw(st.booleans()):
+            box[draw(st.integers(0, 3))] = value
+            obj["box"] = box
+        else:
+            obj["confidence"] = value
+    elif fault == "non-finite box":
+        box[draw(st.integers(0, 3))] = draw(st.sampled_from(NON_FINITE))
+        obj["box"] = box
+    elif fault == "inverted box":
+        axis = draw(st.integers(0, 1))
+        box[axis], box[axis + 2] = box[axis + 2], box[axis]
+        obj["box"] = box
+    elif fault == "degenerate box":
+        obj["box"] = draw(st.sampled_from([
+            [box[0], box[1], box[0], box[3]],
+            [box[0], box[1], box[2], box[1]],
+            [width + 1, 0, width + 5, 5], [-9, 0, 0, height],
+            [0, height, 5, height + 3]]))
+    elif fault == "non-number confidence":
+        obj["confidence"] = draw(st.sampled_from(NOT_A_NUMBER))
+    elif fault == "non-finite confidence":
+        obj["confidence"] = draw(st.sampled_from(NON_FINITE))
+    else:
+        raise AssertionError(fault)
+    return obj
+
+
+FAULTS = ["missing class", "missing box", "missing confidence",
+          "unknown class", "str-subclass class", "list class", "non-list box",
+          "3 or 5 values", "true, string or null value", "non-finite box",
+          "inverted box", "degenerate box", "non-number confidence",
+          "non-finite confidence"]
+
+
+@st.composite
+def image_entries(draw):
+    """An image entry, valid or with one planted fault, and whether it is
+    read as detections."""
+    width, height = draw(st.integers(1, 120)), draw(st.integers(1, 120))
+    objects = draw(st.lists(valid_object(width, height), max_size=6))
+    with_confidence = draw(st.booleans())
+    if not with_confidence and draw(st.booleans()):
+        for obj in objects:
+            del obj["confidence"]
+    fault = draw(st.sampled_from([None, *FAULTS]))
+    if fault is not None and objects:
+        at = draw(st.integers(0, len(objects) - 1))
+        objects[at] = plant(draw, objects[at], fault, width, height)
+    entry = {"id": "im", "width": width, "height": height, "objects": objects}
+    return entry, with_confidence
+
+
+@settings(max_examples=400, deadline=None)
+@given(image_entries())
+def test_column_read_matches_a_per_object_reader(case):
+    """Valid entries give the reference's arrays and dtypes; faulty ones its
+    exact error message."""
+    entry, with_confidence = case
+    try:
+        labels, boxes, scores = reference_parse(entry, with_confidence)
+    except AnnotationError as exc:
+        with pytest.raises(AnnotationError) as got:
+            _parse_image(entry, with_confidence)
+        assert str(got.value) == str(exc)
+        return
+    rec = _parse_image(entry, with_confidence)
+    assert (rec.image_id, rec.width, rec.height) == ("im", entry["width"],
+                                                     entry["height"])
+    assert rec.labels.dtype == np.int64 and rec.labels.tolist() == labels
+    assert rec.boxes.dtype == np.float64 and rec.boxes.shape == (len(boxes), 4)
+    np.testing.assert_array_equal(rec.boxes, np.reshape(boxes, (-1, 4)))
+    if scores is None:
+        assert rec.confidences is None
+    else:
+        assert rec.confidences.dtype == np.float64
+        assert rec.confidences.tolist() == scores
