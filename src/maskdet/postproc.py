@@ -212,16 +212,6 @@ def _pair_hits(a: np.ndarray, b: np.ndarray, thresh: float, same: bool):
     return np.divmod(np.sort(np.concatenate(keys)), len(b))
 
 
-def _listed_hits(rows: np.ndarray, cols: np.ndarray, a_alive: np.ndarray):
-    """Yield ``(i, hit columns)`` for each row of the hit pairs ``(rows,
-    cols)``, sorted by row, that is alive when reached."""
-    bounds = np.append(np.flatnonzero(np.diff(rows, prepend=-1)), len(rows))
-    for i, lo, hi in zip(rows[bounds[:-1]].tolist(), bounds[:-1].tolist(),
-                         bounds[1:].tolist()):
-        if a_alive[i]:
-            yield i, cols[lo:hi]
-
-
 def nms(boxes: np.ndarray, scores: np.ndarray,
         iou_thresh: float = DEFAULT_NMS_IOU):
     """Greedy non-maximum suppression over one class.
@@ -231,24 +221,28 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     it with IoU strictly above ``iou_thresh``.  Returns the kept (boxes,
     scores) in kept order.
 
-    The ranked boxes' hits among themselves come from :func:`_pair_hits`,
-    and their rows are walked in rank order: a box still open when reached
-    is kept and closes itself and its hits; a box never reached (it has no
-    hits) and never closed is kept too.  Raises ValueError unless
+    The ranked boxes' hit pairs come from :func:`_pair_hits`, sorted by
+    row, and one pass over them decides: a row not yet removed is kept and
+    removes its column.  Every pair that can remove a row has a lower row,
+    so the row is settled before its own pairs come up.  A box that is no
+    pair's column is kept, so the boxes it hits are removed and their own
+    pairs decide nothing; they are dropped before the pass, which in a
+    crowd is nearly all of them.  Raises ValueError unless
     ``0 <= iou_thresh <= 1``.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     order = np.argsort(-scores, kind="stable")
     ranked = boxes[order]
-    open_ = np.ones(len(order), dtype=bool)
-    kept = np.zeros(len(order), dtype=bool)
-    for i, hits in _listed_hits(*_pair_hits(ranked, ranked, iou_thresh, True),
-                                open_):
-        open_[hits] = False
-        open_[i] = False
-        kept[i] = True
-    keep = order[kept | open_]
+    rows, cols = _pair_hits(ranked, ranked, iou_thresh, True)
+    hit = np.bincount(cols, minlength=len(order)) > 0
+    lost = np.bincount(cols[~hit[rows]], minlength=len(order)) > 0
+    rows, cols = rows[~lost[rows]], cols[~lost[rows]]
+    removed = [0] * len(order)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if not removed[i]:
+            removed[j] = 1
+    keep = order[np.logical_not(removed)]
     return boxes[keep], scores[keep]
 
 
@@ -258,21 +252,24 @@ def _orcc_keep(face_boxes: np.ndarray, face_conf: np.ndarray,
     """The ``(face, mask)`` keep masks of :func:`orcc` over box and
     confidence arrays.
 
-    The faces' hits among the masks come from :func:`_pair_hits`, and the
-    faces with hits are walked in list order: a face's alive hit masks are
-    removed up to the first one it does not beat, which removes the face.
+    The face/mask hit pairs come from :func:`_pair_hits`, sorted by face,
+    then mask, and one pass over them removes the lower-confidence member
+    of each pair whose face and mask are both still there: the mask on
+    ``face >= mask``, else the face (so a NaN confidence removes the face).
+    This is one sweep of ``oracles.orcc_fixed_point``'s loops over the
+    pairs that hit; a pair both of whose members survive it was met with
+    both alive, so a second sweep removes nothing.
     """
-    face_alive = np.ones(len(face_boxes), dtype=bool)
-    mask_alive = np.ones(len(mask_boxes), dtype=bool)
-    for fi, hits in _listed_hits(*_pair_hits(face_boxes, mask_boxes, thresh,
-                                             False), face_alive):
-        live = hits[mask_alive[hits]]
-        lost = np.flatnonzero(~(face_conf[fi] >= mask_conf[live]))
-        if lost.size:
-            live = live[:lost[0]]
-            face_alive[fi] = False
-        mask_alive[live] = False
-    return face_alive, mask_alive
+    rows, cols = _pair_hits(face_boxes, mask_boxes, thresh, False)
+    fc, mc = face_conf.tolist(), mask_conf.tolist()
+    face_out, mask_out = [0] * len(fc), [0] * len(mc)
+    for f, m in zip(rows.tolist(), cols.tolist()):
+        if not (face_out[f] or mask_out[m]):
+            if fc[f] >= mc[m]:
+                mask_out[m] = 1
+            else:
+                face_out[f] = 1
+    return np.logical_not(face_out), np.logical_not(mask_out)
 
 
 def orcc(faces: list[Detection], masks: list[Detection],

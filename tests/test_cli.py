@@ -401,13 +401,21 @@ README_FLOW_DIGESTS = {
         "631d49f4209de1401b20afe3f9ffd47eb4cc597de70a79091e6195423e8bccdd"),
 }
 
+# The same for the calibrated store of ``_calibrated_store``.
+CALIBRATED_DIGESTS = {
+    ("--tc", "0.5"): (
+        "f5891c2f3eb1ddd3ccfee31725ad145b7825170e4df650d9bcba7c44aabc498e",
+        "b8da1e09d8c3ccfd5547b6f7d052e54e224dac01b75843f5b66379f8f9c31f42"),
+    ("--tc", "0.05"): (
+        "2d3f28a70cdb43c0f05c45528c843e3ef612dda0993d25cfadfce6efbdb3cb90",
+        "2a46ea6f9758213526585dd6ad7e160ada5ddbba9f48e1ecb8e72230829ace17"),
+}
 
-def test_readme_flow_bytes_match_the_recorded_digests(tmp_path, capsys):
-    """``init-weights --seed 7``, ``detect`` on two seeded 640x480 PPMs and
-    ``eval`` against every second object of the default-flags detections
-    give the recorded bytes, at default flags and at ``--tc 0.05``."""
-    weights = tmp_path / "w.rfmw"
-    assert main(["init-weights", "--out", str(weights), "--seed", "7"]) == 0
+
+def _flow_digests(tmp_path, capsys, weights, flag_sets):
+    """SHA-256 of the detect JSON and eval stdout per detect flags, for
+    ``detect`` with ``weights`` on two seeded 640x480 PPMs and ``eval``
+    against every second object of the first flags' detections."""
     images = tmp_path / "images"
     images.mkdir()
     rng = np.random.default_rng(2020)
@@ -415,11 +423,11 @@ def test_readme_flow_bytes_match_the_recorded_digests(tmp_path, capsys):
         save_ppm(images / f"{name}.ppm",
                  rng.integers(0, 256, (480, 640, 3), dtype=np.uint8))
     dets = {}
-    for flags in README_FLOW_DIGESTS:
+    for flags in flag_sets:
         dets[flags] = tmp_path / f"dets{''.join(flags)}.json"
         assert main(["detect", "--weights", str(weights), "--input",
                      str(images), "--out", str(dets[flags]), *flags]) == 0
-    doc = json.loads(dets[()].read_text())
+    doc = json.loads(dets[flag_sets[0]].read_text())
     for record in doc["images"]:
         record["objects"] = [{"class": obj["class"], "box": obj["box"]}
                              for obj in record["objects"][::2]]
@@ -432,7 +440,48 @@ def test_readme_flow_bytes_match_the_recorded_digests(tmp_path, capsys):
         digests[flags] = (hashlib.sha256(path.read_bytes()).hexdigest(),
                           hashlib.sha256(capsys.readouterr().out.encode())
                           .hexdigest())
-    assert digests == README_FLOW_DIGESTS
+    return digests
+
+
+def test_readme_flow_bytes_match_the_recorded_digests(tmp_path, capsys):
+    """``init-weights --seed 7``, ``detect`` on two seeded 640x480 PPMs and
+    ``eval`` against every second object of the default-flags detections
+    give the recorded bytes, at default flags and at ``--tc 0.05``."""
+    weights = tmp_path / "w.rfmw"
+    assert main(["init-weights", "--out", str(weights), "--seed", "7"]) == 0
+    assert _flow_digests(tmp_path, capsys, weights,
+                         list(README_FLOW_DIGESTS)) == README_FLOW_DIGESTS
+
+
+def _calibrated_store():
+    """The benchmark's calibrated weight store, bit for bit, from the four
+    numbers ``bench/scenes.calibrate`` fits: seed-3 reference weights with
+    the loc and cls head weights scaled and a ``(0, face, mask)`` cls bias
+    per anchor."""
+    config = ModelConfig()
+    store = init_reference_weights(config, 3)
+    a, k = config.anchors_per_cell, config.num_classes
+    for lvl in range(config.num_levels):
+        for name, scale in (("loc", 0.0019313905325155551),
+                            ("cls", 0.011885405493509816)):
+            key = f"head{lvl}.{name}.weight"
+            store[key] = store[key] * np.float32(scale)
+        bias = np.zeros(a * k, dtype=np.float32)
+        bias[1::k] = -6.260631040820439
+        bias[2::k] = -5.003999735161131
+        store[f"head{lvl}.cls.bias"] = bias
+    return store
+
+
+def test_calibrated_store_bytes_match_the_recorded_digests(tmp_path, capsys):
+    """With the benchmark's calibrated store, ``detect`` on the two seeded
+    PPMs at ``--tc 0.5`` and ``0.05`` (about 1 350 and 1 660 detections
+    per image) and ``eval`` against every second ``--tc 0.5`` detection
+    give the recorded bytes."""
+    weights = tmp_path / "w.rfmw"
+    save_weights(_calibrated_store(), weights)
+    assert _flow_digests(tmp_path, capsys, weights,
+                         list(CALIBRATED_DIGESTS)) == CALIBRATED_DIGESTS
 
 
 def _child_env(**extra):
@@ -468,9 +517,9 @@ def _numpy_blas() -> str:
 
 @pytest.mark.parametrize("core", sorted(OPENBLAS_CORE_FLAGS))
 def test_readme_flow_digests_hold_on_other_openblas_cores(core):
-    """The README-flow digest test passes in a child process whose OpenBLAS
-    runs another core's kernels, so the recorded bytes do not depend on
-    the x86 host."""
+    """The README-flow and calibrated-store digest tests pass in a child
+    process whose OpenBLAS runs another core's kernels, so the recorded
+    bytes do not depend on the x86 host."""
     if "openblas" not in _numpy_blas().lower():
         pytest.skip("numpy's BLAS is not OpenBLAS")
     missing = OPENBLAS_CORE_FLAGS[core] - _cpu_flags()
@@ -480,14 +529,15 @@ def test_readme_flow_digests_hold_on_other_openblas_cores(core):
     loaded = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
                             capture_output=True, text=True, timeout=60)
     assert f"Core: {core}" in loaded.stderr, loaded.stderr
-    test = (f"{Path(__file__).resolve()}::"
-            f"test_readme_flow_bytes_match_the_recorded_digests")
+    tests = [f"{Path(__file__).resolve()}::{name}" for name in
+             ("test_readme_flow_bytes_match_the_recorded_digests",
+              "test_calibrated_store_bytes_match_the_recorded_digests")]
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
-                          "no:cacheprovider", test], env=env,
+                          "no:cacheprovider", *tests], env=env,
                          cwd=Path(__file__).resolve().parents[1],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout[-3000:]
-    assert "1 passed" in run.stdout
+    assert "2 passed" in run.stdout
 
 
 def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskdet import postproc
 from maskdet.anchors import (FACE, MASK, encode, generate_anchors, iou,
@@ -182,6 +184,31 @@ def test_nms_matches_quadratic_reference_across_blocks(thresh):
     np.testing.assert_array_equal(kept_s, scores[ref])
 
 
+# boxes on a small integer grid, so that many pairs overlap and some meet
+# a threshold exactly
+grid_boxes = st.tuples(st.integers(0, 12), st.integers(0, 12),
+                       st.integers(1, 8), st.integers(1, 8)).map(
+    lambda t: [t[0], t[1], t[0] + t[2], t[1] + t[3]])
+thresholds = st.sampled_from([0.0, 0.25, 0.4, 0.5, 1.0])
+# few values, so that ties are common, with both infinities and NaN last
+odd_scores = [-np.inf, 0.0, 0.5, 1.0, np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(grid_boxes, st.sampled_from(odd_scores[:-1])),
+                max_size=20), thresholds)
+def test_nms_matches_quadratic_reference_on_infinite_and_tied_scores(
+        rows, thresh):
+    """NaN is left out: ``nms_reference``'s sort has no defined order
+    for it."""
+    boxes = np.array([box for box, _ in rows], dtype=np.float64).reshape(-1, 4)
+    scores = np.array([score for _, score in rows], dtype=np.float64)
+    kept_b, kept_s = nms(boxes, scores, thresh)
+    ref = nms_reference(boxes, scores, thresh)
+    np.testing.assert_array_equal(kept_b, boxes[ref])
+    np.testing.assert_array_equal(kept_s, scores[ref])
+
+
 # -------------------------------------------------------------------- ORCC
 
 def test_orcc_hand_iou_case_removes_mask():
@@ -232,6 +259,25 @@ def test_orcc_matches_fixed_point_oracle_across_slabs(thresh):
     centres = rng.uniform(0, 400, (40, 2))
     masks = clustered_detections(rng, MASK, 1000, centres)
     faces = clustered_detections(rng, FACE, 1148, centres)
+    got_f, got_m = orcc(faces, masks, thresh)
+    want_f, want_m = orcc_fixed_point(faces, masks, thresh)
+    assert [id(d) for d in got_f] == [id(d) for d in want_f]
+    assert [id(d) for d in got_m] == [id(d) for d in want_m]
+
+
+detections = st.lists(st.tuples(grid_boxes, st.sampled_from(odd_scores)),
+                      max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(detections, detections, thresholds)
+def test_orcc_matches_fixed_point_oracle_on_non_finite_confidences(
+        face_rows, mask_rows, thresh):
+    """NaN, infinite and tied confidences: a comparison with NaN is false,
+    so a hit pair holding a NaN loses its face, and a tie removes the
+    mask."""
+    faces = [det(box, FACE, conf) for box, conf in face_rows]
+    masks = [det(box, MASK, conf) for box, conf in mask_rows]
     got_f, got_m = orcc(faces, masks, thresh)
     want_f, want_m = orcc_fixed_point(faces, masks, thresh)
     assert [id(d) for d in got_f] == [id(d) for d in want_f]
