@@ -150,14 +150,12 @@ def _cmd_detect(args) -> int:
         pixels = load_ppm(path)
         height, width = pixels.shape[:2]
         image = preprocess(pixels, config.input_size)
-        dets = run_detect(model, image, anchor_set, conf_thresh=args.tc,
-                          nms_iou=args.nms, orcc_iou=args.orcc)
-        scale = np.array([width / config.input_size,
-                          height / config.input_size] * 2)
-        boxes = np.reshape([d.box for d in dets], (-1, 4)) * scale
+        labels, boxes, confidences = run_detect(
+            model, image, anchor_set, conf_thresh=args.tc, nms_iou=args.nms,
+            orcc_iou=args.orcc)
+        boxes = boxes * np.array([width / config.input_size,
+                                  height / config.input_size] * 2)
         ok = loads_back(boxes, width, height)
-        labels = np.array([d.label for d in dets], dtype=np.int64)
-        confidences = np.array([d.confidence for d in dets], dtype=np.float64)
         records.append(ImageRecord(path.stem, width, height, labels[ok],
                                    boxes[ok], confidences[ok]))
     save_detections(records, args.out)

@@ -1,9 +1,10 @@
 """Inference post-processing: scoring, confidence filter, NMS and ORCC.
 
-The chain turns raw head outputs into final detections:
+The chain turns raw head outputs into final detections, arrays from
+:func:`detect` and a :class:`Detection` list from :func:`postprocess`:
 
     softmax scoring -> confidence and box filter -> per-class greedy NMS
-    -> cross-class object removal (ORCC) -> merged, confidence-sorted list
+    -> cross-class object removal (ORCC) -> merged, confidence-sorted rows
 
 ORCC resolves overlapping face/mask pairs by dropping the lower-confidence
 member.  Its iteration order is pinned down exactly (see :func:`orcc`)
@@ -293,18 +294,16 @@ def orcc(faces: list[Detection], masks: list[Detection],
             [m for m, ok in zip(masks, mask_alive) if ok])
 
 
-def postprocess(pred: Predictions, anchors: AnchorSet, image_size: float,
-                conf_thresh: float = DEFAULT_CONF_THRESH,
-                nms_iou: float = DEFAULT_NMS_IOU,
-                orcc_iou: float = DEFAULT_ORCC_IOU) -> list[Detection]:
-    """Full post-processing of raw predictions into a final detection list.
+def _final_arrays(pred: Predictions, anchors: AnchorSet, image_size: float,
+                  conf_thresh: float, nms_iou: float, orcc_iou: float):
+    """The final ``(labels, boxes, confidences)``: ``(k,)`` int64, ``(k, 4)``
+    float64 and ``(k,)`` float64 arrays, one row per detection.
 
     Every row is scored, but only the rows some class keeps are decoded
     (``decode`` is row-wise, so they are the rows :func:`score_predictions`
     gives).  Each class's ``(boxes, scores)`` arrays go through
     :func:`filter_confidence` and :func:`nms`, ORCC keeps rows of them, and
     one stable sort by descending confidence merges faces then masks.
-    ``Detection`` objects are made for the final list only.
     """
     _check_rows(pred, anchors)
     probs = softmax_rows(pred.cls)
@@ -319,25 +318,37 @@ def postprocess(pred: Predictions, anchors: AnchorSet, image_size: float,
                                   mask_conf, orcc_iou)
     boxes = np.concatenate([face_boxes[face_ok], mask_boxes[mask_ok]])
     scores = np.concatenate([face_conf[face_ok], mask_conf[mask_ok]])
-    labels = np.repeat([FACE, MASK], [face_ok.sum(), mask_ok.sum()])
+    labels = np.repeat(np.int64([FACE, MASK]), [face_ok.sum(), mask_ok.sum()])
     order = np.argsort(-scores, kind="stable")
+    return labels[order], boxes[order], scores[order]
+
+
+def postprocess(pred: Predictions, anchors: AnchorSet, image_size: float,
+                conf_thresh: float = DEFAULT_CONF_THRESH,
+                nms_iou: float = DEFAULT_NMS_IOU,
+                orcc_iou: float = DEFAULT_ORCC_IOU) -> list[Detection]:
+    """Full post-processing of raw predictions into a final detection list:
+    one ``Detection`` per row of :func:`_final_arrays`, in its order."""
+    labels, boxes, confidences = _final_arrays(pred, anchors, image_size,
+                                               conf_thresh, nms_iou, orcc_iou)
     return [Detection(box, label, conf) for box, label, conf
-            in zip(boxes[order], labels[order].tolist(),
-                   scores[order].tolist())]
+            in zip(boxes, labels.tolist(), confidences.tolist())]
 
 
 def detect(model: Model, image: np.ndarray, anchors: AnchorSet | None = None,
            conf_thresh: float = DEFAULT_CONF_THRESH,
            nms_iou: float = DEFAULT_NMS_IOU,
-           orcc_iou: float = DEFAULT_ORCC_IOU) -> list[Detection]:
+           orcc_iou: float = DEFAULT_ORCC_IOU):
     """Run the model on one preprocessed image and post-process the output.
 
-    Coordinates are in the network's input-pixel space (the config's
-    input_size square); callers showing results on the source image rescale
-    by original/input extents.
+    Returns ``(labels, boxes, confidences)``, ``(k,)`` int64 FACE or MASK,
+    ``(k, 4)`` float64 and ``(k,)`` float64, row for row the list
+    :func:`postprocess` gives.  Boxes are in the network's input-pixel
+    space (the config's input_size square); callers showing results on the
+    source image rescale by original/input extents.
     """
     if anchors is None:
         anchors = generate_anchors(model.config)
     pred = model_forward(model, image)
-    return postprocess(pred, anchors, float(model.config.input_size),
-                       conf_thresh, nms_iou, orcc_iou)
+    return _final_arrays(pred, anchors, float(model.config.input_size),
+                         conf_thresh, nms_iou, orcc_iou)

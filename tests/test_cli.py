@@ -318,6 +318,17 @@ def test_benchmark_tracer_installs_on_a_detect_and_eval_run(tmp_path,
     assert written > 0 and matched == written
     assert maskdet.cli.run_detect is maskdet.postproc.detect
 
+    def under_detect(span):
+        while span[3] >= 0:
+            span = tracer.spans[span[3]]
+            if span[0] == "postproc.detect":
+                return True
+        return False
+
+    inner = {"model.model_forward", "anchors.decode",
+             "postproc.filter_confidence", "postproc.nms"}
+    assert inner <= {span[0] for span in tracer.spans if under_detect(span)}
+
 
 def test_detect_output_loads_in_eval(tmp_path, capsys):
     """Kaiming weights decode thousands of zero-area boxes; none is written."""
@@ -334,6 +345,41 @@ def test_detect_output_loads_in_eval(tmp_path, capsys):
     gt.write_text(json.dumps({"images": [{"id": "scene", "width": 640,
                                           "height": 480, "objects": []}]}))
     assert main(["eval", "--pred", str(dets), "--gt", str(gt)]) == 0
+
+
+def test_detect_with_no_detections_writes_empty_images(tmp_path, capsys):
+    """With every weight zero each class probability is 1/3, below ``--tc
+    0.5``: each image is written with no objects, and eval counts every
+    ground-truth object as a false negative."""
+    store = init_reference_weights(ModelConfig(), 0)
+    save_weights({name: np.zeros_like(a) for name, a in store.items()},
+                 tmp_path / "w.rfmw")
+    images = tmp_path / "images"
+    images.mkdir()
+    rng = np.random.default_rng(4)
+    for stem in ("a", "b"):
+        save_ppm(images / f"{stem}.ppm",
+                 rng.integers(0, 256, (40, 56, 3), dtype=np.uint8))
+    dets = tmp_path / "dets.json"
+    assert main(["detect", "--weights", str(tmp_path / "w.rfmw"), "--input",
+                 str(images), "--out", str(dets), "--size", "64"]) == 0
+    text = dets.read_text()
+    assert text.count('"objects":[]') == 2
+    assert [(image["id"], image["objects"]) for image
+            in json.loads(text)["images"]] == [("a", []), ("b", [])]
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps({"images": [
+        {"id": "a", "width": 56, "height": 40, "objects": [
+            {"class": "face", "box": [1, 2, 20, 30]},
+            {"class": "mask", "box": [30, 5, 50, 35]}]},
+        {"id": "b", "width": 56, "height": 40, "objects": [
+            {"class": "face", "box": [0, 0, 10, 10]}]}]}))
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(dets), "--gt", str(gt)]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["classes"] == {
+        "face": {"tp": 0, "fp": 0, "fn": 2, "precision": 0.0, "recall": 0.0},
+        "mask": {"tp": 0, "fp": 0, "fn": 1, "precision": 0.0, "recall": 0.0}}
 
 
 threshold = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -478,6 +524,22 @@ def test_calibrated_store_bytes_match_the_recorded_digests(tmp_path, capsys):
     PPMs at ``--tc 0.5`` and ``0.05`` (about 1 350 and 1 660 detections
     per image) and ``eval`` against every second ``--tc 0.5`` detection
     give the recorded bytes."""
+    weights = tmp_path / "w.rfmw"
+    save_weights(_calibrated_store(), weights)
+    assert _flow_digests(tmp_path, capsys, weights,
+                         list(CALIBRATED_DIGESTS)) == CALIBRATED_DIGESTS
+
+
+def test_detect_builds_no_detection_objects(tmp_path, capsys, monkeypatch):
+    """``maskdet detect`` writes the calibrated-store bytes with
+    ``postproc.Detection`` replaced by a stub that raises, so the command
+    goes from post-processing to the file on arrays alone."""
+    import maskdet.postproc
+
+    def no_detection(*args, **kwargs):
+        raise AssertionError("maskdet detect built a Detection")
+
+    monkeypatch.setattr(maskdet.postproc, "Detection", no_detection)
     weights = tmp_path / "w.rfmw"
     save_weights(_calibrated_store(), weights)
     assert _flow_digests(tmp_path, capsys, weights,

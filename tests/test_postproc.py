@@ -535,23 +535,36 @@ def test_postprocess_sorted_by_confidence():
     assert dets[0].confidence >= dets[1].confidence
 
 
+def _check_detect_arrays(arrays):
+    labels, boxes, confidences = arrays
+    k = len(labels)
+    assert labels.shape == (k,) and labels.dtype == np.int64
+    assert boxes.shape == (k, 4) and boxes.dtype == np.float64
+    assert confidences.shape == (k,) and confidences.dtype == np.float64
+
+
 def test_detect_deterministic(tiny_model):
     rng = np.random.default_rng(5)
     image = rng.uniform(-120, 130, (1, 3, 32, 32)).astype(np.float32)
     a = detect(tiny_model, image, conf_thresh=0.34)
     b = detect(tiny_model, image, conf_thresh=0.34)
-    assert len(a) == len(b)
-    for da, db in zip(a, b):
-        np.testing.assert_array_equal(da.box, db.box)
-        assert da.label == db.label and da.confidence == db.confidence
+    _check_detect_arrays(a)
+    assert len(a[0]) > 0
+    for xa, xb in zip(a, b, strict=True):
+        np.testing.assert_array_equal(xa, xb)
 
 
 def test_detect_runs_via_model_forward(tiny_model):
+    """``detect``'s arrays are ``postprocess``'s ``Detection`` list of the
+    same forward pass, row for row and field by field."""
     rng = np.random.default_rng(6)
     image = rng.uniform(-120, 130, (1, 3, 32, 32)).astype(np.float32)
     pred = model_forward(tiny_model, image)
     direct = postprocess(pred, generate_anchors(TINY), 32.0, 0.34, 0.4, 0.5)
     via = detect(tiny_model, image, conf_thresh=0.34)
-    assert len(direct) == len(via)
-    for da, db in zip(direct, via):
-        np.testing.assert_array_equal(da.box, db.box)
+    _check_detect_arrays(via)
+    labels, boxes, confidences = via
+    assert len(direct) == len(labels) > 0
+    for d, label, box, conf in zip(direct, labels, boxes, confidences):
+        np.testing.assert_array_equal(d.box, box)
+        assert d.label == label and d.confidence == conf
