@@ -22,7 +22,10 @@ BACKGROUND, FACE, MASK = 0, 1, 2
 # side lengths of the square anchors at one cell, in units of the stride
 ANCHOR_SIDE_SCALES = (2.0, 4.0)
 
-DEFAULT_VARIANCES = (0.1, 0.2)
+# SSD offset coding: center offsets scale by VARIANCES[0], log sizes by [1]
+VARIANCES = (0.1, 0.2)
+# an unclaimed anchor whose best IoU reaches this is matched (RetinaFace)
+POS_THRESH = 0.35
 
 
 @dataclass(frozen=True)
@@ -152,17 +155,17 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode(gt, anchor, variances=DEFAULT_VARIANCES) -> np.ndarray:
+def encode(gt, anchor) -> np.ndarray:
     """Encode corner-form ground-truth boxes as offsets from center-size anchors.
 
     t = ((gcx - cx) / (w * v0), (gcy - cy) / (h * v0),
-         ln(gw / w) / v1, ln(gh / h) / v1)
+         ln(gw / w) / v1, ln(gh / h) / v1)   with (v0, v1) = VARIANCES
 
     Accepts a single box pair or aligned (..., 4) arrays.
     """
     g = corner_to_center(gt)
     a = np.asarray(anchor, dtype=np.float64)
-    v0, v1 = variances
+    v0, v1 = VARIANCES
     if np.any(g[..., 2] <= 0) or np.any(g[..., 3] <= 0):
         raise ValueError("encode requires ground-truth boxes with positive extents")
     t_xy = (g[..., :2] - a[..., :2]) / (a[..., 2:] * v0)
@@ -170,9 +173,8 @@ def encode(gt, anchor, variances=DEFAULT_VARIANCES) -> np.ndarray:
     return np.concatenate([t_xy, t_wh], axis=-1)
 
 
-def decode(offsets, anchor, variances=DEFAULT_VARIANCES,
-           image_size: float | None = None) -> np.ndarray:
-    """Invert :func:`encode`, returning corner-form boxes.
+def decode(offsets, anchor, image_size: float | None = None) -> np.ndarray:
+    """Invert :func:`encode` with the same ``VARIANCES``, returning corner-form boxes.
 
     When ``image_size`` is given, coordinates are clipped to [0, image_size].
     A size offset too large for float64 decodes to an infinite size, so its
@@ -180,23 +182,22 @@ def decode(offsets, anchor, variances=DEFAULT_VARIANCES,
     """
     t = np.asarray(offsets, dtype=np.float64)
     a = np.asarray(anchor, dtype=np.float64)
-    center = a[..., :2] + t[..., :2] * variances[0] * a[..., 2:]
+    center = a[..., :2] + t[..., :2] * VARIANCES[0] * a[..., 2:]
     with np.errstate(over="ignore"):
-        size = a[..., 2:] * np.exp(t[..., 2:] * variances[1])
+        size = a[..., 2:] * np.exp(t[..., 2:] * VARIANCES[1])
     boxes = center_to_corner(np.concatenate([center, size], axis=-1))
     if image_size is not None:
         boxes = np.clip(boxes, 0.0, float(image_size))
     return boxes
 
 
-def match_targets(anchor_set: AnchorSet, gt_boxes, gt_labels,
-                  pos_thresh: float = 0.35) -> MatchResult:
+def match_targets(anchor_set: AnchorSet, gt_boxes, gt_labels) -> MatchResult:
     """Assign every anchor a class label and, for positives, encoded offsets.
 
     Two-phase rule: first every ground truth claims its highest-IoU anchor
     (anchor-index ties break low; when several ground truths claim the same
     anchor the highest IoU wins, gt-index ties break low); then every
-    unclaimed anchor whose best IoU is >= ``pos_thresh`` takes its best
+    unclaimed anchor whose best IoU is >= ``POS_THRESH`` takes its best
     ground truth's label.  Everything else is background.  A ground truth
     with zero IoU against all anchors claims nothing.
     """
@@ -223,7 +224,7 @@ def match_targets(anchor_set: AnchorSet, gt_boxes, gt_labels,
     best_gt = overlaps.argmax(axis=1)
     best_gt_iou = overlaps[np.arange(p), best_gt]
 
-    assigned_gt = np.where(best_gt_iou >= pos_thresh, best_gt, -1)
+    assigned_gt = np.where(best_gt_iou >= POS_THRESH, best_gt, -1)
 
     # forced claims: gt -> its best anchor; collisions go to the higher IoU
     claim_iou: dict[int, float] = {}

@@ -32,24 +32,9 @@ from .images import load_ppm, preprocess
 from .model import ModelConfig, build_model, init_reference_weights
 from .postproc import (DEFAULT_CONF_THRESH, DEFAULT_NMS_IOU, DEFAULT_ORCC_IOU,
                        detect as run_detect)
-from .selftest import run_selftest
 from .weights_io import load_weights, save_weights
 
-REFERENCE_STRIDES = ModelConfig().strides
-MIN_INPUT_SIZE = max(REFERENCE_STRIDES)   # one cell of the coarsest grid
-
-
-def _parse_strides(text: str) -> tuple[int, ...]:
-    """Comma-separated strides that pass ``ModelConfig``'s strides rule."""
-    try:
-        strides = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"strides must be comma-separated "
-                                         f"integers, got {text!r}")
-    try:
-        return ModelConfig(strides=strides).strides
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+MIN_INPUT_SIZE = max(ModelConfig.strides)   # one cell of the coarsest grid
 
 
 def _parse_unit_float(text: str) -> float:
@@ -109,9 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("anchors", help="print anchor count and layout")
     p.add_argument("--size", type=_int_at_least(1), required=True,
                    help="input size in pixels, at least 1")
-    p.add_argument("--strides", type=_parse_strides,
-                   default=REFERENCE_STRIDES,
-                   help="comma-separated level strides (default %(default)s)")
 
     p = sub.add_parser("init-weights", help="write Kaiming-initialized weights")
     p.add_argument("--out", required=True, help="output weights path")
@@ -197,7 +179,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_anchors(args) -> int:
-    config = ModelConfig(input_size=args.size, strides=args.strides)
+    config = ModelConfig(input_size=args.size)
     anchor_set = generate_anchors(config)
     print(f"total anchors: {len(anchor_set)}")
     for lvl, layout in enumerate(anchor_set.layout):
@@ -231,6 +213,7 @@ def main(argv=None) -> int:
         if args.command == "init-weights":
             return _cmd_init_weights(args)
         if args.command == "selftest":
+            from .selftest import run_selftest
             return 0 if run_selftest() else 1
     except Exception as exc:    # runtime failures -> exit 1, message on stderr
         print(f"maskdet: error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_MEANS = (104.0, 117.0, 123.0)    # BGR order
+MEANS = (104.0, 117.0, 123.0)    # BGR order
 
 
 def load_ppm(path) -> np.ndarray:
@@ -96,9 +96,8 @@ def resize_nearest(pixels: np.ndarray, target_h: int, target_w: int) -> np.ndarr
     return pixels[_nearest(h, target_h)][:, _nearest(w, target_w)]
 
 
-def preprocess(pixels: np.ndarray, target_size: int,
-               means=DEFAULT_MEANS) -> np.ndarray:
-    """RGB pixels -> (1, 3, s, s) float32 BGR tensor with means subtracted.
+def preprocess(pixels: np.ndarray, target_size: int) -> np.ndarray:
+    """RGB pixels -> (1, 3, s, s) float32 BGR tensor with ``MEANS`` subtracted.
 
     Each plane is gathered by rows, then by columns, with the
     :func:`resize_nearest` indices, and its mean is subtracted as it is
@@ -110,10 +109,10 @@ def preprocess(pixels: np.ndarray, target_size: int,
     for plane, channel in enumerate((2, 1, 0)):    # RGB -> BGR
         picked = np.take(pixels[:, :, channel], rows, axis=0, mode="clip")
         np.subtract(np.take(picked, cols, axis=1, mode="clip"),
-                    np.float32(means[plane]), out=out[0, plane])
+                    np.float32(MEANS[plane]), out=out[0, plane])
     return out
 
 
-def load_image(path, target_size: int, means=DEFAULT_MEANS) -> np.ndarray:
+def load_image(path, target_size: int) -> np.ndarray:
     """Load a PPM and preprocess it into a network input tensor."""
-    return preprocess(load_ppm(path), target_size, means)
+    return preprocess(load_ppm(path), target_size)

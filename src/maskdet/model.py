@@ -37,11 +37,13 @@ BACKBONE_TAPS = (2, 3, 4)          # stage indices (0-based) that feed the FPN
 class ModelConfig:
     """Settings of the detector; defaults match the reference setup.
 
-    Only ``input_size``, ``strides`` and ``fpn_channels`` are settable.  The
-    rest of the reference architecture is fixed: the class constants below
-    read like fields but cannot be passed in.
+    Only ``input_size`` and ``fpn_channels`` are settable.  The rest of the
+    reference architecture is fixed: the class constants below, among them
+    the backbone taps' strides 8/16/32, read like fields but cannot be
+    passed in.
     """
 
+    strides: ClassVar[tuple[int, int, int]] = (8, 16, 32)
     anchors_per_cell: ClassVar[int] = len(ANCHOR_SIDE_SCALES)
     num_classes: ClassVar[int] = 3         # background, face, mask
     # weight of the top-down path; fpn_forward's in-place merge relies on 1
@@ -49,18 +51,11 @@ class ModelConfig:
     cbam_reduction: ClassVar[int] = 4      # channel-attention MLP C -> C/4
 
     input_size: int = 640
-    strides: tuple[int, int, int] = (8, 16, 32)
     fpn_channels: int = 64
 
     def __post_init__(self):
         if self.input_size < 1:
             raise ValueError(f"input_size must be positive, got {self.input_size}")
-        if len(self.strides) != 3:
-            raise ValueError(f"exactly three detection levels are supported, "
-                             f"got strides {self.strides}")
-        if list(self.strides) != sorted(set(self.strides)) or min(self.strides) < 1:
-            raise ValueError(f"strides must be strictly increasing positive "
-                             f"integers, got {self.strides}")
         if self.fpn_channels < 4 or self.fpn_channels % 4 != 0:
             raise ValueError(f"fpn_channels must be positive and divisible by "
                              f"4 (context branch split), got "
@@ -172,10 +167,6 @@ def build_model(config: ModelConfig, weights: dict[str, np.ndarray]) -> Model:
     rather than deferring the fault to forward time.  Extra tensors are
     ignored.
     """
-    reference = ModelConfig().strides
-    if tuple(config.strides) != reference:
-        raise ValueError(f"the reference backbone taps strides {reference}; "
-                         f"got {config.strides}")
     manifest = weight_manifest(config)
     for name, shape in manifest.items():
         if name not in weights:
@@ -349,22 +340,16 @@ def model_forward(model: Model, image: Tensor) -> Predictions:
                        np.concatenate(cls_rows, axis=0))
 
 
-def kaiming_init(shape, fan_mode: str = "in", seed=0) -> np.ndarray:
+def kaiming_init(shape, seed=0) -> np.ndarray:
     """Normal init with std sqrt(2 / fan); deterministic for a fixed seed.
 
-    fan_in of an (out, in, kh, kw) kernel is in*kh*kw; fan_out is out*kh*kw.
-    For an (in, out) matrix they are in and out.  ``seed`` may be an int or
-    a numpy SeedSequence.
+    The fan is the product of every extent but the first: in*kh*kw (fan-in)
+    for an (out, in, kh, kw) kernel, and out for the attention MLP's
+    (in, out) matrices.  A vector's fan is its length.  ``seed`` may be an
+    int or a numpy SeedSequence.
     """
     shape = tuple(int(s) for s in shape)
-    if fan_mode not in ("in", "out"):
-        raise ValueError(f"fan_mode must be 'in' or 'out', got {fan_mode!r}")
-    if len(shape) == 1:
-        fan = shape[0]
-    elif fan_mode == "in":
-        fan = int(np.prod(shape[1:]))
-    else:
-        fan = shape[0] * int(np.prod(shape[2:]))
+    fan = shape[0] if len(shape) == 1 else int(np.prod(shape[1:]))
     if fan == 0:
         raise ValueError(f"zero fan for shape {shape}")
     rng = np.random.default_rng(seed)
@@ -374,8 +359,8 @@ def kaiming_init(shape, fan_mode: str = "in", seed=0) -> np.ndarray:
 def init_reference_weights(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Kaiming-initialized weight store for the reference architecture.
 
-    Weight tensors draw from kaiming_init (fan-in mode) with per-tensor
-    seeds spawned from ``seed`` in manifest order; biases are zero.
+    Weight tensors draw from kaiming_init with per-tensor seeds spawned
+    from ``seed`` in manifest order; biases are zero.
     """
     manifest = weight_manifest(config)
     children = np.random.SeedSequence(seed).spawn(len(manifest))
@@ -384,5 +369,5 @@ def init_reference_weights(config: ModelConfig, seed: int) -> dict[str, np.ndarr
         if name.endswith(".bias"):
             store[name] = np.zeros(shape, dtype=np.float32)
         else:
-            store[name] = kaiming_init(shape, "in", child)
+            store[name] = kaiming_init(shape, child)
     return store

@@ -221,7 +221,7 @@ def test_match_two_anchors_share_one_gt():
     ])
     overlaps = iou_matrix(anchor_set.corners(), gt)
     np.testing.assert_allclose(overlaps.ravel(), [0.5, 0.4], atol=1e-12)
-    result = match_targets(anchor_set, gt, [MASK], pos_thresh=0.35)
+    result = match_targets(anchor_set, gt, [MASK])
     assert result.labels.tolist() == [MASK, MASK]
     for row in range(2):
         np.testing.assert_allclose(
