@@ -112,6 +112,14 @@ def generate_anchors(config) -> AnchorSet:
     return AnchorSet(np.concatenate(parts, axis=0), tuple(levels))
 
 
+def check_threshold(value: float, name: str) -> float:
+    """``value`` if it is a number in [0, 1], else a ValueError naming the
+    threshold ``name``: the one rule for every threshold of the package."""
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+    return value
+
+
 def iou(a, b) -> float:
     """Intersection over union of two corner-form boxes; 0 when the union is empty."""
     return float(iou_matrix(np.reshape(a, (1, 4)), np.reshape(b, (1, 4)))[0, 0])

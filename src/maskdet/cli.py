@@ -25,7 +25,7 @@ import numpy as np
 
 from .annotations import (CLASS_NAMES, ImageRecord, load_annotations,
                           load_detections, loads_back, save_detections)
-from .anchors import FACE, MASK, generate_anchors
+from .anchors import FACE, MASK, check_threshold, generate_anchors
 from .evaluate import (DEFAULT_EVAL_IOU, EvalCounts, match_for_eval,
                        precision_recall)
 from .images import load_ppm, preprocess
@@ -39,12 +39,9 @@ MIN_INPUT_SIZE = max(ModelConfig.strides)   # one cell of the coarsest grid
 
 def _parse_unit_float(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
-    return value
+        return check_threshold(float(text), "threshold")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
 
 
 def _int_at_least(minimum: int, why: str = ""):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import FACE, MASK, iou_matrix
+from .anchors import FACE, MASK, check_threshold, iou_matrix
 from .annotations import ImageRecord
 
 FOREGROUND_CLASSES = (FACE, MASK)
@@ -63,8 +63,10 @@ def match_for_eval(detections, gt_labels, gt_boxes,
     arrays of class labels and corner-form boxes.  Each class's detections
     are ranked by descending confidence, ties in list order.  Only
     detections with an IoU at or above the threshold can claim, so only
-    those rows of ``iou_matrix`` are visited.
+    those rows of ``iou_matrix`` are visited.  Raises ValueError unless
+    ``0 <= iou_thresh <= 1``.
     """
+    check_threshold(iou_thresh, "IoU threshold")
     gt_labels = np.asarray(gt_labels, dtype=np.int64).reshape(-1)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     if isinstance(detections, ImageRecord):

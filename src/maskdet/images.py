@@ -8,35 +8,35 @@ codec dependency; converting other formats is the caller's concern.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 MEANS = (104.0, 117.0, 123.0)    # BGR order
 
+# four header tokens, each after any whitespace (the six bytes that
+# bytes.isspace() accepts) and "#" comments to the end of the line; b"" at EOF
+_HEADER = rb"(?:\s+|#[^\n\r]*)*(\S*)" * 4
+
+
+def _shown(token: bytes) -> str:
+    """``token``'s repr, cut to its first 32 bytes and length when longer."""
+    return repr(token[:32]) + (f"... ({len(token)} bytes)" if token[32:] else "")
+
 
 def load_ppm(path) -> np.ndarray:
-    """Read an 8-bit binary PPM into an (h, w, 3) uint8 RGB array."""
+    """Read an 8-bit binary PPM into an (h, w, 3) uint8 RGB array.
+
+    The header is the four tokens that ``_HEADER`` matches in one pass."""
     with open(path, "rb") as fh:
         data = fh.read()
-
-    pos = 0
+    header = re.match(_HEADER, data)
+    tokens = iter(header.groups())
 
     def next_token():
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos:pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: truncated PPM header")
-        return data[start:pos]
+        if token := next(tokens):
+            return token
+        raise ValueError(f"{path}: truncated PPM header")
 
     def next_int(field):    # ASCII decimal digits, with an optional "-"
         token = next_token()
@@ -46,12 +46,12 @@ def load_ppm(path) -> np.ndarray:
         except ValueError:      # more digits than int() reads
             pass
         raise ValueError(f"{path}: PPM {field} must be an integer, got "
-                         f"{token!r}")
+                         f"{_shown(token)}")
 
     magic = next_token()
     if magic != b"P6":
-        raise ValueError(f"{path}: unsupported format {magic!r}, expected "
-                         f"binary PPM (P6)")
+        raise ValueError(f"{path}: unsupported format {_shown(magic)}, "
+                         f"expected binary PPM (P6)")
     width = next_int("width")
     height = next_int("height")
     if width < 1 or height < 1:
@@ -61,17 +61,16 @@ def load_ppm(path) -> np.ndarray:
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}, only 8-bit "
                          f"(255) PPM is accepted")
-    pos += 1    # single whitespace byte after maxval
+    pos = header.end() + 1    # single whitespace byte after maxval
     expected = width * height * 3
-    pixels = data[pos:pos + expected]
-    if len(pixels) < expected:
-        raise ValueError(f"{path}: truncated pixel data ({len(pixels)} of "
-                         f"{expected} bytes)")
     extra = len(data) - pos - expected
+    if extra < 0:
+        raise ValueError(f"{path}: truncated pixel data "
+                         f"({max(len(data) - pos, 0)} of {expected} bytes)")
     if extra > 0:
         raise ValueError(f"{path}: {extra} bytes after the pixel data "
                          f"(multi-image PPM is not supported)")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3).copy()
+    return np.frombuffer(data, np.uint8, expected, pos).reshape(height, width, 3).copy()
 
 
 def save_ppm(path, pixels: np.ndarray) -> None:

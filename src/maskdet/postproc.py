@@ -19,8 +19,8 @@ import numpy as np
 
 # ``iou`` is not called here; it stays importable as ``postproc.iou`` because
 # the benchmark's tracer counts calls to it through this namespace.
-from .anchors import (FACE, MASK, AnchorSet, decode, generate_anchors, iou,
-                      iou_pairs)
+from .anchors import (FACE, MASK, AnchorSet, check_threshold, decode,
+                      generate_anchors, iou, iou_pairs)
 from .kernels import softmax_rows
 from .model import Model, Predictions, model_forward
 
@@ -70,7 +70,9 @@ def filter_confidence(boxes: np.ndarray, scores: np.ndarray,
 
     Candidates whose box is non-finite or has no positive width or height
     are dropped as well, so NMS, ORCC and the output never see them.
+    Raises ValueError unless ``0 <= conf_thresh <= 1``.
     """
+    check_threshold(conf_thresh, "confidence threshold")
     boxes, scores = np.asarray(boxes), np.asarray(scores)
     keep = ((scores >= conf_thresh) & np.isfinite(boxes).all(axis=1)
             & (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1]))
@@ -172,9 +174,7 @@ def _pair_hits(a: np.ndarray, b: np.ndarray, thresh: float, same: bool):
     operations ``iou_matrix`` runs on them.  Raises ValueError unless
     ``0 <= thresh <= 1``.
     """
-    if not 0 <= thresh <= 1:
-        raise ValueError(f"IoU threshold must be a number in [0, 1], "
-                         f"got {thresh!r}")
+    check_threshold(thresh, "IoU threshold")
     coords_a = np.ascontiguousarray(a.T)      # coordinate first, for iou_pairs
     coords_b = coords_a if same else np.ascontiguousarray(b.T)
     valid_a = _positive_rows(a)

@@ -172,10 +172,21 @@ def test_ppm_round_trip(tmp_path):
     np.testing.assert_array_equal(load_ppm(path), pixels)
 
 
-def test_ppm_header_comments(tmp_path):
+@pytest.mark.parametrize("header, error", [
+    (b"P6\n# a comment\n2 1\n# another\n255\n", None),
+    (b"P6#x 2 1 255\n", "unsupported format b'P6#x'"),
+    (b"P6\v2\f1\v255\f", None),
+    (b"P6 # ended by a carriage return\r2 1 #\r\r255\r", None),
+], ids=["comments", "hash-in-token", "vt-ff", "cr-comment"])
+def test_ppm_header_comments(tmp_path, header, error):
+    # "#" starts a comment only where a token could start
     path = tmp_path / "c.ppm"
-    path.write_bytes(b"P6\n# a comment\n2 1\n# another\n255\n" + bytes(6))
-    assert load_ppm(path).shape == (1, 2, 3)
+    path.write_bytes(header + bytes(6))
+    if error is None:
+        assert load_ppm(path).shape == (1, 2, 3)
+    else:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            load_ppm(path)
 
 
 def test_ppm_wrong_magic(tmp_path):
@@ -237,6 +248,142 @@ def test_ppm_header_integer_beyond_digit_limit_names_file(tmp_path):
     with pytest.raises(ValueError, match="long.ppm: PPM width must be an "
                                          "integer, got b'9999"):
         load_ppm(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"P6\n" + b"9" * (1 << 20) + b" 5\n255", "PPM width must be an integer, "
+                                           "got b'9999"),
+    (b"P" + b"6" * ((1 << 20) - 1) + b"\n5 5\n255", "unsupported format b'P666"),
+], ids=["width", "magic"])
+def test_ppm_long_header_token_is_cut_in_the_message(tmp_path, header, message):
+    path = tmp_path / "big.ppm"
+    path.write_bytes(header + b"\n" + bytes(75))
+    with pytest.raises(ValueError) as error:
+        load_ppm(path)
+    text = str(error.value)
+    assert len(text) < 200
+    assert text.startswith(f"{path}: {message}")
+    assert f"'... ({1 << 20} bytes)" in text
+
+
+def test_ppm_header_padded_with_megabytes_loads(tmp_path):
+    pixels = np.arange(18, dtype=np.uint8).reshape(2, 3, 3)
+    path = tmp_path / "padded.ppm"
+    path.write_bytes(b"P6" + b" \t\n\v\f\r" * ((4 << 20) // 6) + b"3 2\n#"
+                     + b"c" * (4 << 20) + b"\n255\n" + pixels.tobytes())
+    np.testing.assert_array_equal(load_ppm(path), pixels)
+
+
+def reference_ppm(path):
+    """Plain reference for ``load_ppm``: the same checks and messages, with
+    tokens from a loop that steps through the header byte by byte."""
+    data = path.read_bytes()
+    pos = 0
+
+    def next_token():
+        nonlocal pos
+        while pos < len(data):
+            ch = data[pos:pos + 1]
+            if ch == b"#":
+                while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
+                    pos += 1
+            elif ch.isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ValueError(f"{path}: truncated PPM header")
+        return data[start:pos]
+
+    def shown(token):   # at most 32 bytes, then the length
+        if len(token) > 32:
+            return f"{token[:32]!r}... ({len(token)} bytes)"
+        return repr(token)
+
+    def next_int(field):    # the generated tokens are far below int()'s limit
+        token = next_token()
+        if token.removeprefix(b"-").isdigit():
+            return int(token)
+        raise ValueError(f"{path}: PPM {field} must be an integer, got "
+                         f"{shown(token)}")
+
+    magic = next_token()
+    if magic != b"P6":
+        raise ValueError(f"{path}: unsupported format {shown(magic)}, "
+                         f"expected binary PPM (P6)")
+    width = next_int("width")
+    height = next_int("height")
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: image extents must be positive, got "
+                         f"width {width} and height {height}")
+    maxval = next_int("maxval")
+    if maxval != 255:
+        raise ValueError(f"{path}: unsupported maxval {maxval}, only 8-bit "
+                         f"(255) PPM is accepted")
+    pos += 1    # single whitespace byte after maxval
+    expected = width * height * 3
+    pixels = data[pos:pos + expected]
+    if len(pixels) < expected:
+        raise ValueError(f"{path}: truncated pixel data ({len(pixels)} of "
+                         f"{expected} bytes)")
+    extra = len(data) - pos - expected
+    if extra > 0:
+        raise ValueError(f"{path}: {extra} bytes after the pixel data "
+                         f"(multi-image PPM is not supported)")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)
+
+
+PPM_SPACE = [b" ", b"\t", b"\n", b"\v", b"\f", b"\r"]
+PPM_PIECES = [b"P6", *(bytes([d]) for d in b"0123456789"), b"-", b"#",
+              *PPM_SPACE, b"x", b"\x00", b"\xff"]
+ppm_junk = st.lists(st.sampled_from(PPM_PIECES), max_size=6).map(b"".join)
+ppm_note = st.lists(st.sampled_from([p for p in PPM_PIECES
+                                     if p not in (b"\n", b"\r")]),
+                    max_size=6).map(b"".join)
+ppm_comment = st.tuples(st.just(b"#"), ppm_note,
+                        st.sampled_from([b"\n", b"\r"] * 2 + [b""])
+                        ).map(b"".join)
+ppm_gap_part = st.one_of(st.just(b""), st.sampled_from(PPM_SPACE), ppm_comment)
+# whitespace first: a "#" right after a token is part of that token
+ppm_gap = st.tuples(st.sampled_from(PPM_SPACE), ppm_gap_part,
+                    ppm_gap_part).map(b"".join)
+
+
+@st.composite
+def ppm_files(draw):
+    """Four header tokens, each well-formed or (one time in six) junk, split
+    by whitespace and comments or (one time in six) by nothing, then about
+    as many pixel bytes as the header asks for."""
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    mostly = st.sampled_from([True] * 5 + [False])
+    header = b""
+    for token in (b"P6", b"%d" % width, b"%d" % height, b"255"):
+        header += draw(ppm_gap) if draw(mostly) else b""
+        header += token if draw(mostly) else draw(ppm_junk)
+    size = max(width * height * 3 + draw(st.sampled_from([0, 0, -1, 1])), 0)
+    return (header + draw(st.sampled_from([b"\n", b"\r", b" ", b"#", b""]))
+            + draw(st.binary(min_size=size, max_size=size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ppm_files())
+def test_ppm_header_pattern_matches_the_byte_loop(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("ppm") / "h.ppm"
+    path.write_bytes(data)
+    outcomes = []
+    for load in (load_ppm, reference_ppm):
+        try:
+            outcomes.append(load(path))
+        except ValueError as error:
+            outcomes.append(str(error))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_image_of_means_preprocesses_to_zero(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from maskdet import postproc
 from maskdet.anchors import (FACE, MASK, encode, generate_anchors, iou,
                              iou_matrix)
+from maskdet.evaluate import match_for_eval
 from maskdet.model import ModelConfig, Predictions, model_forward
 from maskdet.postproc import (Detection, detect, filter_confidence, nms,
                               orcc, postprocess, score_predictions,
@@ -414,17 +415,27 @@ def test_pair_listing_finds_every_pair_above_the_threshold(thresh):
 
 
 @pytest.mark.parametrize("thresh", [-0.1, np.nan, 1.5])
-def test_iou_thresholds_outside_the_unit_interval_raise(thresh):
+def test_iou_thresholds_outside_the_unit_interval_raise(thresh, tiny_model):
+    # the confidence and evaluation thresholds follow the same [0, 1] rule
     boxes = np.array([[0, 0, 10, 10], [1, 1, 11, 11.0]])
     face, mask = det(boxes[0], FACE, 0.9), det(boxes[1], MASK, 0.8)
     with pytest.raises(ValueError, match="IoU threshold"):
         nms(boxes, np.array([0.9, 0.8]), thresh)
     with pytest.raises(ValueError, match="IoU threshold"):
         orcc([face], [mask], thresh)
+    with pytest.raises(ValueError, match="IoU threshold"):
+        match_for_eval([face, mask], [FACE, MASK], boxes, iou_thresh=thresh)
+    with pytest.raises(ValueError, match="confidence threshold"):
+        filter_confidence(boxes, np.array([0.9, 0.8]), thresh)
     pred, anchors = synthetic_predictions()
     for kwargs in ({"nms_iou": thresh}, {"orcc_iou": thresh}):
         with pytest.raises(ValueError, match="IoU threshold"):
             postprocess(pred, anchors, 32.0, **kwargs)
+    with pytest.raises(ValueError, match="confidence threshold"):
+        postprocess(pred, anchors, 32.0, conf_thresh=thresh)
+    image = np.zeros((1, 3, 32, 32), dtype=np.float32)
+    with pytest.raises(ValueError, match="confidence threshold"):
+        detect(tiny_model, image, conf_thresh=thresh)
 
 
 @pytest.mark.parametrize("scene", ["clustered", "crowded", "hostile"])
