@@ -29,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -142,9 +143,12 @@ def _parse_image(entry, with_confidence: bool) -> ImageRecord:
     bulk the same way: each box must be an array of 4 JSON numbers and
     each confidence a JSON number (``true`` and ``false`` are not
     numbers), and only when that fails are the objects walked again to
-    name the first bad one.  The boxes are then checked as one array for
-    non-finite, inverted and, after clipping, degenerate rows, and then the
-    confidences for non-finite values.  Each of these checks names its
+    name the first bad one.  The boxes are then clipped as one array, and
+    when every clipped row is finite with positive extents, which rules out
+    a non-finite or inverted row as clipping is monotone, that one test
+    clears them all.  Otherwise they are checked in turn for non-finite,
+    inverted and, after clipping, degenerate rows.  Then the confidences
+    are checked for non-finite values.  Each of these checks names its
     first failing object, which need not be the first faulty one in the
     image.
     """
@@ -206,7 +210,7 @@ def _parse_image(entry, with_confidence: bool) -> ImageRecord:
             if with_confidence:
                 need(obj, "confidence", "object")
     arrays = set(map(type, rows)) <= {list}
-    values = [v for row in rows for v in row] if arrays else []
+    values = list(chain.from_iterable(rows)) if arrays else []
     if not (arrays and set(map(len, rows)) <= {4}
             and set(map(type, values)) <= NUMBER_TYPES):
         reject([_is_box(row) for row in rows], lambda i: _box_fault(rows[i]))
@@ -215,13 +219,14 @@ def _parse_image(entry, with_confidence: bool) -> ImageRecord:
                lambda i: f"confidence must be a number, got "
                          f"{json.dumps(confidences[i])}")
     boxes = _floats(values).reshape(-1, 4)
-    reject(np.isfinite(boxes).all(axis=1),
-           lambda i: f"non-finite box {boxes[i].tolist()}")
-    reject((boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3]),
-           lambda i: f"inverted box {boxes[i].tolist()}")
     clipped, ok = _clip_boxes(boxes, width, height)
-    reject(ok, lambda i: f"degenerate box {rows[i]} after clipping to "
-                         f"{width}x{height}")
+    if not ok.all():    # the first check that fails names its first bad row
+        reject(np.isfinite(boxes).all(axis=1),
+               lambda i: f"non-finite box {boxes[i].tolist()}")
+        reject((boxes[:, 0] <= boxes[:, 2]) & (boxes[:, 1] <= boxes[:, 3]),
+               lambda i: f"inverted box {boxes[i].tolist()}")
+        reject(ok, lambda i: f"degenerate box {rows[i]} after clipping to "
+                             f"{width}x{height}")
     scores = None
     if with_confidence:
         scores = _floats(confidences)

@@ -24,6 +24,14 @@ def _shown(token: bytes) -> str:
     return repr(token[:32]) + (f"... ({len(token)} bytes)" if token[32:] else "")
 
 
+def _decimal(value: int) -> str:
+    """``value`` in decimal, or only its bound when it exceeds 10**32 in
+    magnitude; an integer of over 4300 digits cannot be formatted at all."""
+    if abs(value) <= 10**32:
+        return str(value)
+    return "over 10**32" if value > 0 else "below -10**32"
+
+
 def load_ppm(path) -> np.ndarray:
     """Read an 8-bit binary PPM into an (h, w, 3) uint8 RGB array.
 
@@ -56,17 +64,19 @@ def load_ppm(path) -> np.ndarray:
     height = next_int("height")
     if width < 1 or height < 1:
         raise ValueError(f"{path}: image extents must be positive, got "
-                         f"width {width} and height {height}")
+                         f"width {_decimal(width)} and height "
+                         f"{_decimal(height)}")
     maxval = next_int("maxval")
     if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}, only 8-bit "
-                         f"(255) PPM is accepted")
+        raise ValueError(f"{path}: unsupported maxval {_decimal(maxval)}, "
+                         f"only 8-bit (255) PPM is accepted")
     pos = header.end() + 1    # single whitespace byte after maxval
     expected = width * height * 3
     extra = len(data) - pos - expected
     if extra < 0:
         raise ValueError(f"{path}: truncated pixel data "
-                         f"({max(len(data) - pos, 0)} of {expected} bytes)")
+                         f"({max(len(data) - pos, 0)} of "
+                         f"{_decimal(expected)} bytes)")
     if extra > 0:
         raise ValueError(f"{path}: {extra} bytes after the pixel data "
                          f"(multi-image PPM is not supported)")

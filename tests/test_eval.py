@@ -38,11 +38,13 @@ def test_double_detection_single_claim():
 
 
 def test_cross_class_detection_counts_both_sides():
+    # at every threshold, even 0, a detection claims no other class's box
     gts = np.array([[0, 0, 10, 10.0]])
     dets = [det([0, 0, 10, 10], FACE)]
-    out = match_for_eval(dets, [MASK], gts)
-    assert counts_tuple(out.face) == (0, 1, 0)
-    assert counts_tuple(out.mask) == (0, 0, 1)
+    for thresh in (0.0, 0.5, 1.0):
+        out = match_for_eval(dets, [MASK], gts, thresh)
+        assert counts_tuple(out.face) == (0, 1, 0)
+        assert counts_tuple(out.mask) == (0, 0, 1)
 
 
 def test_low_iou_detection_is_fp_and_gt_unclaimed():
@@ -72,10 +74,11 @@ def test_detection_claims_highest_iou_gt():
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("thresh", [0.3, 0.5])
+@pytest.mark.parametrize("thresh", [0.0, 0.3, 0.5, 1.0])
 def test_matching_equals_scalar_reference_on_crowded_scenes(seed, thresh):
     # 120 detections on 60 ground truths around 10 centres: most detections
-    # have a hit, so claims collide; four confidence values make ties common
+    # have a hit, so claims collide; four confidence values make ties common.
+    # At 0 every same-class pair reaches the threshold, at 1 only exact boxes
     rng = np.random.default_rng(seed)
     centres = rng.uniform(0, 200, (10, 2))
     gt_boxes = np.stack([g.box for g in
@@ -112,6 +115,34 @@ def test_match_on_a_loaded_record_uses_its_arrays(tmp_path, thresh):
         assert len(rec) == len(rows)
         assert (match_for_eval(rec, gt_labels, gt_boxes, thresh)
                 == match_for_eval(rows, gt_labels, gt_boxes, thresh))
+
+
+@pytest.mark.parametrize("n_labels, n_boxes", [(2, 3), (4, 2)])
+def test_misaligned_ground_truth_raises(n_labels, n_boxes):
+    dets = [det([0, 0, 10, 10], FACE), det([20, 20, 30, 30], FACE),
+            det([40, 40, 50, 50], FACE)]
+    gts = np.array([[0, 0, 10, 10], [20, 20, 30, 30], [40, 40, 50, 50],
+                    [60, 60, 70, 70.0]])[:n_boxes]
+    with pytest.raises(ValueError, match=f"^{n_boxes} ground-truth boxes but "
+                                         f"{n_labels} labels$"):
+        match_for_eval(dets, [FACE] * n_labels, gts)
+
+
+def test_labels_other_than_face_and_mask_are_not_counted():
+    # a detection of another label claims nothing of FACE or MASK, and a
+    # ground truth of another label is no FACE or MASK false negative
+    rng = np.random.default_rng(5)
+    centres = rng.uniform(0, 100, (4, 2))
+    gt_boxes = np.stack([g.box for g in
+                         clustered_detections(rng, FACE, 20, centres)])
+    gt_labels = rng.choice([FACE, MASK, 0, -1, 7], 20)
+    dets = [det(d.box, int(label), d.confidence) for d, label in
+            zip(clustered_detections(rng, FACE, 40, centres),
+                rng.choice([FACE, MASK, 0, -1, 7], 40))]
+    got = match_for_eval(dets, gt_labels, gt_boxes, 0.3)
+    want = match_eval_reference(dets, gt_labels, gt_boxes, 0.3)
+    assert counts_tuple(got.face) == want[FACE]
+    assert counts_tuple(got.mask) == want[MASK]
 
 
 def test_empty_everything():

@@ -266,6 +266,26 @@ def test_ppm_long_header_token_is_cut_in_the_message(tmp_path, header, message):
     assert f"'... ({1 << 20} bytes)" in text
 
 
+@pytest.mark.parametrize("header, message", [
+    (b"9" * 4000 + b" " + b"9" * 4000 + b"\n255",
+     "truncated pixel data (75 of over 10**32 bytes)"),
+    (b"5 5\n" + b"9" * 4000, "unsupported maxval over 10**32, only 8-bit"),
+    (b"-" + b"9" * 4000 + b" 5\n255",
+     "image extents must be positive, got width below -10**32 and height 5"),
+], ids=["extents", "maxval", "negative-width"])
+def test_ppm_huge_header_integers_are_bounded_in_the_message(tmp_path, header,
+                                                            message):
+    # 4 000 digits parse as integers, but an integer of over 4 300 digits,
+    # such as the width x height x 3 product here, cannot be formatted
+    path = tmp_path / "huge.ppm"
+    path.write_bytes(b"P6\n" + header + b"\n" + bytes(75))
+    with pytest.raises(ValueError) as error:
+        load_ppm(path)
+    text = str(error.value)
+    assert len(text) < 200
+    assert text.startswith(f"{path}: {message}")
+
+
 def test_ppm_header_padded_with_megabytes_loads(tmp_path):
     pixels = np.arange(18, dtype=np.uint8).reshape(2, 3, 3)
     path = tmp_path / "padded.ppm"
@@ -948,10 +968,17 @@ FAULTS = ["missing class", "missing box", "missing confidence",
           "non-finite confidence"]
 
 
+# faults of a box's or a confidence's value, whose checks run in bulk
+VALUE_FAULTS = ["non-list box", "3 or 5 values", "true, string or null value",
+                "non-finite box", "inverted box", "degenerate box",
+                "non-number confidence", "non-finite confidence"]
+
+
 @st.composite
 def image_entries(draw):
-    """An image entry, valid or with one planted fault, and whether it is
-    read as detections."""
+    """An image entry, valid or with one planted fault, sometimes with a
+    second, different value fault in another object, and whether it is read
+    as detections."""
     width, height = draw(st.integers(1, 120)), draw(st.integers(1, 120))
     objects = draw(st.lists(valid_object(width, height), max_size=6))
     with_confidence = draw(st.booleans())
@@ -962,6 +989,12 @@ def image_entries(draw):
     if fault is not None and objects:
         at = draw(st.integers(0, len(objects) - 1))
         objects[at] = plant(draw, objects[at], fault, width, height)
+        second = draw(st.sampled_from([None, *VALUE_FAULTS]))
+        if second not in (None, fault) and len(objects) > 1:
+            other = draw(st.integers(0, len(objects) - 2))
+            other += other >= at
+            objects[other] = plant(draw, objects[other], second, width,
+                                   height)
     entry = {"id": "im", "width": width, "height": height, "objects": objects}
     return entry, with_confidence
 
